@@ -39,7 +39,6 @@ from .fixedpoint import (
     to_real,
 )
 from .inference import (
-    GenerationState,
     TeacherForcedTrace,
     Waveform,
     argmax_sample,

@@ -6,7 +6,8 @@ Subcommands:
   an optional JSON run report (timings, throughput, config/weight digests);
 * ``verify``   — self-check on a reduced version of the given config: queue
   semantics against a shifting FIFO, the engine against a plain matvec, and
-  the queue-based generator against the naive full-history reference;
+  the queue-based generator against the naive full-history reference, in
+  real mode and in the default fixed-point format;
 * ``compare``  — MSE and log-spectral distance between two WAV files;
 * ``explore``  — sweep engine parallelism parameters over the model's layers
   and emit the cost model's estimates as CSV.
@@ -21,6 +22,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -29,7 +31,7 @@ from .engine import ParallelismParams, estimate_cycles, matvec
 from .inference import generate, generate_naive
 from .metrics import SpectrogramParams, metric_report
 from .model import ModelConfig, config_digest, load_config, validate_config
-from .numerics import parse_mode
+from .numerics import FixedMode, RealMode, parse_mode
 from .queues import CyclicQueue
 from .weights import load_weights, random_weights
 from .wavio import read_wav, write_wav
@@ -149,18 +151,20 @@ def _check_matvec(rng) -> str:
     return ""
 
 
-def _check_generator_parity(cfg: ModelConfig, seed: int) -> str:
+def _check_generator_parity(cfg: ModelConfig, seed: int, mode) -> str:
+    """Queue generator vs naive reference; fixed-point logits must match exactly."""
     ws = random_weights(cfg, seed=seed)
     sink_fast, sink_naive = [], []
-    wf_fast = generate(cfg, ws, n=200, logit_sink=sink_fast)
-    wf_naive = generate_naive(cfg, ws, n=200, logit_sink=sink_naive)
+    wf_fast = generate(cfg, ws, n=200, mode=mode, logit_sink=sink_fast)
+    wf_naive = generate_naive(cfg, ws, n=200, mode=mode, logit_sink=sink_naive)
     if not np.array_equal(wf_fast.bins, wf_naive.bins):
         return "bin sequences differ"
     dev = max(
         float(np.max(np.abs(a - b))) for a, b in zip(sink_fast, sink_naive)
     )
-    if dev > 1e-5:
-        return f"logit deviation {dev:.3g} exceeds 1e-5"
+    tol = 0.0 if isinstance(mode, FixedMode) else 1e-5
+    if dev > tol:
+        return f"logit deviation {dev:.3g} exceeds {tol:g}"
     return ""
 
 
@@ -170,7 +174,12 @@ def _cmd_verify(args) -> int:
     checks = [
         ("cyclic queue vs shifting FIFO", lambda: _check_queue_fifo(rng)),
         ("matvec vs plain matrix product", lambda: _check_matvec(rng)),
-        ("queue generator vs naive reference", lambda: _check_generator_parity(cfg, args.seed)),
+    ] + [
+        (
+            f"queue generator vs naive reference, {mode}",
+            partial(_check_generator_parity, cfg, args.seed, mode),
+        )
+        for mode in (RealMode(), FixedMode())
     ]
     failed = False
     for name, check in checks:

@@ -8,10 +8,13 @@ are combined by a pairwise reduction tree.  The order is part of the contract
 — two calls with the same operands and parameters produce identical results,
 in real or fixed-point mode, regardless of how the work is batched.
 
-``matvec_cols`` evaluates many input columns in one call.  Each column sees
-exactly the arithmetic ``matvec`` would apply to it (elementwise IEEE ops are
-deterministic per element), so batching never changes a result; it only
-amortizes call overhead.
+``matvec_cols`` is the one evaluation path; ``matvec`` is its one-column
+case.  Products are laid out lane-major, ``(chunks, p_in, rows, columns)``;
+the mode's ``fold`` runs every accumulator's sequential MAC chain at once
+along the chunk axis, and ``_tree_reduce`` combines the lane partials.  Each
+column sees exactly the arithmetic ``matvec`` would apply to it (elementwise
+IEEE ops are deterministic per element), so batching never changes a result;
+it only amortizes call overhead.
 
 ``estimate_cycles`` is the analytic cost model for the same datapath: one
 cycle per MAC round per accumulator, plus tree depth, plus one accumulate,
@@ -99,19 +102,19 @@ def _as_native(arr, mode):
 
 
 def _tree_reduce(arr, mode):
-    """Pairwise-reduce the last axis to width 1.
+    """Pairwise-reduce axis 0 to a single partial and return it.
 
     Adjacent pairs are summed level by level; an odd trailing element passes
     through to the next level unchanged.
     """
-    while arr.shape[-1] > 1:
-        n = arr.shape[-1]
+    while arr.shape[0] > 1:
+        n = arr.shape[0]
         pairs = n // 2
-        nxt = mode.add(arr[..., 0 : 2 * pairs : 2], arr[..., 1 : 2 * pairs : 2])
+        nxt = mode.add(arr[0 : 2 * pairs : 2], arr[1 : 2 * pairs : 2])
         if n % 2:
-            nxt = np.concatenate([nxt, arr[..., -1:]], axis=-1)
+            nxt = np.concatenate([nxt, arr[-1:]], axis=0)
         arr = nxt
-    return arr
+    return arr[0]
 
 
 def reduce_sum(partials, mode=_REAL):
@@ -121,25 +124,26 @@ def reduce_sum(partials, mode=_REAL):
         raise ShapeMismatchError(f"expected 1-D partials, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("reduce_sum of empty vector")
-    return _tree_reduce(arr, mode)[0]
+    return _tree_reduce(arr, mode)
 
 
-def _accumulate(products, p_in, mode):
-    """Round-robin accumulation + tree over the last axis of ``products``.
+def _deal(a, p_in):
+    """Deal axis 0 round-robin onto ``p_in`` lanes: (N, ...) -> (chunks, p_in, ...).
 
-    products[..., j] is the j-th elementwise product of a dot product; index
-    j is dealt to accumulator j mod p_in, each accumulator folds its share in
-    index order, and the p_in partials are tree-reduced.
+    Index j lands in chunk j // p_in, lane j mod p_in; a short last chunk is
+    filled with zeros, which leave every sum unchanged.
     """
-    n = products.shape[-1]
+    n = a.shape[0]
     chunks = -(-n // p_in)
-    pad = chunks * p_in - n
-    if pad:
-        width = [(0, 0)] * (products.ndim - 1) + [(0, pad)]
-        products = np.pad(products, width)  # zero lanes: additive identity
-    grouped = products.reshape(products.shape[:-1] + (chunks, p_in))
-    acc = mode.accumulate_chunks(grouped)
-    return _tree_reduce(acc, mode)[..., 0]
+    if chunks * p_in != n:
+        a = np.concatenate([a, np.zeros((chunks * p_in - n,) + a.shape[1:], a.dtype)])
+    return a.reshape((chunks, p_in) + a.shape[1:])
+
+
+def _accumulate(products, mode):
+    """Fold each lane of (chunks, p_in, ...) products in chunk order, then
+    tree-reduce the lane partials."""
+    return _tree_reduce(mode.fold(products), mode)
 
 
 def dot_product(x, w, p_in=1, mode=_REAL):
@@ -152,14 +156,16 @@ def dot_product(x, w, p_in=1, mode=_REAL):
         raise ValueError("dot_product of empty vectors")
     if p_in < 1:
         raise ValueError(f"p_in must be >= 1, got {p_in}")
-    return _accumulate(mode.mul(x, w), p_in, mode)
+    return _accumulate(mode.mul(_deal(x, p_in), _deal(w, p_in)), mode)
 
 
 def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
     """Apply the engine matvec to every column of ``X``.
 
     W is (M, N), X is (N, T); returns (M, T).  Column t of the result is
-    bit-identical to ``matvec(W, X[:, t], ...)``.
+    bit-identical to ``matvec(W, X[:, t], ...)``.  The engine reads W
+    input-major: a W whose transpose is C-contiguous (``W.T`` of a lowered
+    (N, M) array) is used in place, any other W is copied once per call.
     """
     W = _as_native(W, mode)
     X = _as_native(X, mode)
@@ -173,18 +179,14 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
             raise ShapeMismatchError(f"bias shape {bias.shape}, expected ({M},)")
     if stats is not None:
         stats.record(M, N, T)
-    # products[r, t, j] = W[r, j] * X[j, t]; rows and columns are independent
-    # lanes, so evaluating them together preserves each column's declared
-    # MAC/tree order exactly.  For wide batches the mode may fold chunks as
-    # it multiplies (bit-identical, but never materializes (M, T, N)).
-    out = None
-    if T >= 2:
-        out = mode.fused_matvec_cols(W, X, p.num_parallel_in)
-    if out is None:
-        products = mode.mul(W[:, None, :], X.T[None, :, :])
-        out = mode.exact_row_sum(products)
-        if out is None:
-            out = _accumulate(products, p.num_parallel_in, mode)
+    # products[k, l, r, t] = W[r, k*p_in + l] * X[k*p_in + l, t]; rows and
+    # columns are independent lanes, so evaluating them together keeps each
+    # column's declared MAC/tree order exactly.  Both operands are
+    # contiguous, which keeps the product contiguous for the fold.
+    p_in = p.num_parallel_in
+    Wt = _deal(np.ascontiguousarray(W.T), p_in)
+    Xd = _deal(np.ascontiguousarray(X), p_in)
+    out = _accumulate(mode.mul(Wt[..., None], Xd[:, :, None, :]), mode)
     if bias is not None:
         out = mode.add(out, bias[:, None])
     return out

@@ -135,16 +135,27 @@ def mul_raw(a, b, fmt: FxFormat):
     two's-complement identity: adding half-1 instead of half before the
     arithmetic shift when the product is negative (p >> 63 is -1 exactly
     then) lands on round-half-away for both signs.
+
+    The clip is skipped when the operands' largest magnitudes show that no
+    rounded product can leave the format range; it would change nothing.
     """
     _check_vector_format(fmt)
-    p = np.asarray(a, np.int64) * np.asarray(b, np.int64)
+    a = np.asarray(a, np.int64)
+    b = np.asarray(b, np.int64)
+    p = a * b
     f = fmt.frac_bits
     if f:
         offset = p >> 63
         offset += 1 << (f - 1)
         p += offset
         p >>= f
+    if (_max_abs(a) * _max_abs(b) + ((1 << f) >> 1)) >> f <= fmt.raw_max:
+        return p
     return _saturate_inplace(p, fmt)
+
+
+def _max_abs(arr) -> int:
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
 def tanh_raw(a, fmt: FxFormat):

@@ -72,10 +72,10 @@ def fc_forward(W, b, x, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
     """Final projection: logits[j] = sum_i x[i] W[i, j] + b[j].
 
     W is stored input-major (in_dim, out_dim); this is the vector-matrix
-    orientation, evaluated as an engine matvec on the transpose.
+    orientation, evaluated as an engine matvec on the transpose, which the
+    engine reads in place.
     """
-    W = np.asarray(W)
-    return matvec(np.ascontiguousarray(W.T), x, bias=b, p=p, mode=mode, stats=stats)
+    return matvec(np.asarray(W).T, x, bias=b, p=p, mode=mode, stats=stats)
 
 
 def argmax_sample(logits) -> int:
@@ -83,6 +83,8 @@ def argmax_sample(logits) -> int:
     arr = np.asarray(logits)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("argmax_sample needs a non-empty 1-D logit vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("argmax_sample got non-finite logits")
     return int(np.argmax(arr))
 
 
@@ -110,16 +112,6 @@ class Waveform:
         return self.samples.shape[0]
 
 
-@dataclass
-class GenerationState:
-    """Mutable per-session state: layer queues in sweep order and the count
-    of samples emitted so far."""
-
-    layers: list[LayerState]
-    step: int
-    mode: object
-
-
 def default_layer_params(layer_specs) -> tuple[ParallelismParams, ...]:
     """Per-layer engine parallelism: (8, 4) everywhere except single-channel
     input layers, where there is nothing to partition — those get (1, 1)."""
@@ -142,7 +134,12 @@ def _normalize_layer_params(layer_params, specs):
 
 class _Session:
     """A configured model lowered into one numeric mode: native-format
-    kernels, transposed FC weight, fresh layer queues."""
+    kernels and FC weight, fresh layer queues in sweep order.
+
+    Each (out, in) matrix is lowered once into input-major storage and kept
+    as the (out, in) view of it, whose transpose is the contiguous layout the
+    engine reads; no matvec copies a weight.
+    """
 
     def __init__(self, cfg: ModelConfig, ws: WeightSet, mode, layer_params, fc_params):
         ws.validate(cfg)
@@ -151,14 +148,14 @@ class _Session:
         self.specs = validate_config(cfg)
         self.params = _normalize_layer_params(layer_params, self.specs)
         self.fc_params = fc_params
-        self.kernels = [(mode.from_real(k0), mode.from_real(k1)) for k0, k1 in ws.kernels]
-        self.fc_wt = mode.from_real(np.ascontiguousarray(ws.fc_weight.T))
+
+        def lower(w):
+            return mode.from_real(np.ascontiguousarray(w.T)).T
+
+        self.kernels = [(lower(k0), lower(k1)) for k0, k1 in ws.kernels]
+        self.fc_wt = lower(ws.fc_weight.T)
         self.fc_b = mode.from_real(ws.fc_bias)
-        self.state = GenerationState(
-            layers=[LayerState.fresh(spec, dtype=mode.dtype) for spec in self.specs],
-            step=0,
-            mode=mode,
-        )
+        self.layers = [LayerState.fresh(spec, dtype=mode.dtype) for spec in self.specs]
 
     def forward(self, x_scalar: float, stats=None):
         """One full network pass on a scalar input; returns native logits.
@@ -167,7 +164,7 @@ class _Session:
         """
         mode = self.mode
         cur = mode.from_real(np.array([x_scalar], dtype=np.float64))
-        for layer, (k0, k1), p in zip(self.state.layers, self.kernels, self.params):
+        for layer, (k0, k1), p in zip(self.layers, self.kernels, self.params):
             cur = dilated_conv_step(layer, cur, k0, k1, p=p, mode=mode, stats=stats)
         return matvec(self.fc_wt, cur, bias=self.fc_b, p=self.fc_params, mode=mode, stats=stats)
 
@@ -214,7 +211,6 @@ def generate(
         b = argmax_sample(logits)
         bins[i] = b
         x = dequantize(b, levels)
-        session.state.step += 1
 
     return Waveform(samples=dequantize(bins, levels), bins=bins, sample_rate=cfg.sample_rate)
 
@@ -328,7 +324,7 @@ def teacher_forced_layer_outputs(
     for t in range(steps):
         cur = mode_.from_real(np.array([inputs[t]], dtype=np.float64))
         for i, (layer, (k0, k1), p) in enumerate(
-            zip(session.state.layers, session.kernels, session.params)
+            zip(session.layers, session.kernels, session.params)
         ):
             cur = dilated_conv_step(layer, cur, k0, k1, p=p, mode=mode_, stats=stats)
             if i in recorded:
@@ -337,7 +333,6 @@ def teacher_forced_layer_outputs(
             session.fc_wt, cur, bias=session.fc_b, p=session.fc_params, mode=mode_, stats=stats
         )
         trace.bins[t] = argmax_sample(logits)
-        session.state.step += 1
 
     trace.samples = dequantize(trace.bins, cfg.quant_levels)
     return trace

@@ -6,7 +6,9 @@ A mode owns the array representation.  ``RealMode`` stores float64 values
 directly; ``FixedMode`` stores int64 raws for its :class:`~.fixedpoint.FxFormat`
 and routes arithmetic through the saturating helpers.  ``from_real`` /
 ``to_real`` convert at the boundary; everything in between stays in the
-mode's native representation.
+mode's native representation.  ``fold`` is the mode's half of the engine
+datapath: the sequential accumulation of lane-major products, whose
+partials the engine's reduction tree then combines.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .fixedpoint import (
     FX27_8,
     FxFormat,
+    _check_vector_format,
     add_raw,
     mul_raw,
     quantize_real,
@@ -52,66 +55,18 @@ class RealMode:
     def tanh(self, x):
         return np.tanh(x)
 
-    def accumulate_chunks(self, grouped):
-        """Sequential left-fold along axis -2.
+    def fold(self, products):
+        """Sequential left-fold of axis 0; the partials keep the remaining axes.
 
-        ufunc accumulate is defined as the in-order recurrence
-        r[k] = r[k-1] + g[k], so the one-call form is bit-identical to the
-        explicit fold loop; which is faster depends on the chunk count, not
-        the result.
+        ``np.add.reduce`` over a leading axis adds slab by slab, the in-order
+        recurrence, while a slab holds more than one element.  A reduction
+        over a lone contiguous axis switches to pairwise summation instead,
+        so that case takes ``np.add.accumulate``, which is defined as the
+        in-order recurrence.
         """
-        chunks = grouped.shape[-2]
-        if chunks == 1:
-            return grouped[..., 0, :]
-        if chunks <= 8:
-            acc = grouped[..., 0, :].copy()
-            for k in range(1, chunks):
-                np.add(acc, grouped[..., k, :], out=acc)
-            return acc
-        return np.add.accumulate(grouped, axis=-2)[..., -1, :]
-
-    def exact_row_sum(self, products):
-        """No shortcut in floating point: summation order changes bits."""
-        return None
-
-    def fused_matvec_cols(self, W, X, p_in):
-        """Batched matvec, multiplying and folding chunk by chunk.
-
-        W is (M, N), X is (N, T); returns the (M, T) result the engine's
-        materialize-then-fold-then-tree path would produce.  The scalar
-        operations and their order are identical — chunk k's product joins
-        accumulator ``j mod p_in`` right after chunk k-1's, and the
-        accumulators combine by adjacent pairs — so the output matches bit
-        for bit while never allocating the (M, T, N) product block or
-        touching transposed views.
-        """
-        M, N = W.shape
-        T = X.shape[1]
-        chunks = -(-N // p_in)
-        padded = chunks * p_in
-        if padded != N:
-            Wp = np.zeros((M, padded))
-            Wp[:, :N] = W
-            Xp = np.zeros((padded, T))
-            Xp[:N] = X
-            W, X = Wp, Xp
-        # accumulator lanes live on axis 1: acc[r, lane, t]
-        acc = W[:, :p_in, None] * X[None, :p_in, :]
-        if chunks > 1:
-            tmp = np.empty_like(acc)
-            for k in range(1, chunks):
-                sl = slice(k * p_in, (k + 1) * p_in)
-                np.multiply(W[:, sl, None], X[None, sl, :], out=tmp)
-                np.add(acc, tmp, out=acc)
-        # adjacent-pair tree over the lane axis, odd element carried
-        while acc.shape[1] > 1:
-            n = acc.shape[1]
-            pairs = n // 2
-            nxt = acc[:, 0 : 2 * pairs : 2, :] + acc[:, 1 : 2 * pairs : 2, :]
-            if n % 2:
-                nxt = np.concatenate([nxt, acc[:, -1:, :]], axis=1)
-            acc = nxt
-        return acc[:, 0, :]
+        if products[0].size == 1:
+            return np.add.accumulate(products, axis=0)[-1]
+        return np.add.reduce(products, axis=0)
 
     def __str__(self) -> str:
         return self.name
@@ -119,12 +74,19 @@ class RealMode:
 
 @dataclass(frozen=True)
 class FixedMode:
-    """Saturating fixed-point arithmetic; arrays are int64 raws."""
+    """Saturating fixed-point arithmetic; arrays are int64 raws.
+
+    The array helpers hold formats up to 32 bits, so a wider format is
+    refused here rather than at the first operation.
+    """
 
     fmt: FxFormat = FX27_8
 
     name = "fixed"
     dtype = np.int64
+
+    def __post_init__(self):
+        _check_vector_format(self.fmt)
 
     def from_real(self, x):
         return quantize_real(x, self.fmt)
@@ -144,52 +106,26 @@ class FixedMode:
     def tanh(self, x):
         return tanh_raw(x, self.fmt)
 
-    def accumulate_chunks(self, grouped):
-        """Sequential saturating left-fold along axis -2.
+    def fold(self, products):
+        """Sequential saturating left-fold of axis 0 of (chunks, p_in, ...).
 
-        Fast path: every intermediate of the fold is bounded by the sum of
-        absolute addends, so when that bound stays within the format range
-        (and the raw int64 sums cannot overflow), the per-step clip is a
-        no-op and the plain sum is bit-identical to the saturating fold.
-        Otherwise fall back to the explicit clipped loop.
+        Shortcut: every intermediate of the fold and of the reduction tree
+        after it is a sum of some of a row's products, so its magnitude is
+        bounded by the row's sum of absolute products.  When that bound stays
+        inside the format range for every row, nothing can saturate, every
+        add is exact, and the whole row sum, taken in any order, is the
+        result: it comes back as a single partial.  Products are saturated to
+        at most 32 bits, so int64 sums of them cannot overflow.
         """
-        chunks = grouped.shape[-2]
-        if chunks == 1:
-            return grouped[..., 0, :]
         fmt = self.fmt
-        # worst-case raw magnitude: chunks products of total_bits values
-        if 2 * fmt.total_bits - 2 + (chunks - 1).bit_length() <= 62:
-            bound = np.abs(grouped).sum(axis=-2)
-            if bound.max(initial=0) <= fmt.raw_max:
-                return grouped.sum(axis=-2)
-        acc = grouped[..., 0, :].copy()
-        for k in range(1, chunks):
-            np.add(acc, grouped[..., k, :], out=acc)
+        if np.abs(products).sum(axis=(0, 1)).max(initial=0) <= fmt.raw_max:
+            return products.sum(axis=(0, 1))[None]
+        acc = products[0].copy()
+        for k in range(1, products.shape[0]):
+            np.add(acc, products[k], out=acc)
             np.minimum(acc, fmt.raw_max, out=acc)
             np.maximum(acc, fmt.raw_min, out=acc)
         return acc
-
-    def exact_row_sum(self, products):
-        """Whole-dot-product shortcut along the last axis, or None.
-
-        Every intermediate of the accumulator fold and of the reduction tree
-        is a sum of some subset of the row's products, so its magnitude is
-        bounded by sum(|products|).  When that bound stays inside the format
-        range nothing can saturate, every add is exact, and any summation
-        order — including numpy's — yields the identical raws.
-        """
-        n = products.shape[-1]
-        fmt = self.fmt
-        if 2 * fmt.total_bits - 2 + (n - 1).bit_length() > 62:
-            return None  # raw int64 sums could overflow; take the slow path
-        bound = np.abs(products).sum(axis=-1)
-        if bound.max(initial=0) > fmt.raw_max:
-            return None
-        return products.sum(axis=-1)
-
-    def fused_matvec_cols(self, W, X, p_in):
-        """No fused path: saturation needs the per-step clip decision."""
-        return None
 
     def __str__(self) -> str:
         return str(self.fmt)

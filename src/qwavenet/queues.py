@@ -76,16 +76,14 @@ class CyclicQueue:
 
 @dataclass
 class LayerState:
-    """One layer's mutable generation state: its queue and last output."""
+    """One layer's mutable generation state: its queue."""
 
     spec: LayerSpec
     queue: CyclicQueue
-    last_output: np.ndarray
 
     @classmethod
     def fresh(cls, spec: LayerSpec, dtype=np.float64) -> "LayerState":
-        queue = CyclicQueue(spec.queue_length, spec.in_channels, dtype=dtype)
-        return cls(spec=spec, queue=queue, last_output=np.zeros(spec.out_channels, dtype=dtype))
+        return cls(spec=spec, queue=CyclicQueue(spec.queue_length, spec.in_channels, dtype=dtype))
 
 
 def dilated_conv_step(
@@ -109,7 +107,6 @@ def dilated_conv_step(
     if apply_tanh:
         out = mode.tanh(out)
     state.queue.push(prev_out)
-    state.last_output = out
     return out
 
 

@@ -55,6 +55,7 @@ class WeightSet:
     fc_bias: np.ndarray
 
     def validate(self, cfg: ModelConfig) -> None:
+        """Check shapes against ``cfg``, and that every value is finite."""
         specs = validate_config(cfg)
         if len(self.kernels) != len(specs):
             raise WeightShapeError(
@@ -63,11 +64,10 @@ class WeightSet:
         for spec, pair in zip(specs, self.kernels):
             want = (spec.out_channels, spec.in_channels)
             for tap, k in enumerate(pair):
+                where = f"block {spec.block_index} layer {spec.layer_index} kernel[{tap}]"
                 if k.shape != want:
-                    raise WeightShapeError(
-                        f"block {spec.block_index} layer {spec.layer_index} "
-                        f"kernel[{tap}] shape {k.shape}, expected {want}"
-                    )
+                    raise WeightShapeError(f"{where} shape {k.shape}, expected {want}")
+                _check_finite(k, where)
         if self.fc_weight.shape != (cfg.channels, cfg.quant_levels):
             raise WeightShapeError(
                 f"fc_weight shape {self.fc_weight.shape}, expected "
@@ -77,6 +77,14 @@ class WeightSet:
             raise WeightShapeError(
                 f"fc_bias shape {self.fc_bias.shape}, expected {(cfg.quant_levels,)}"
             )
+        _check_finite(self.fc_weight, "fc_weight")
+        _check_finite(self.fc_bias, "fc_bias")
+
+
+def _check_finite(a, where: str) -> None:
+    """NaN or infinity would flow silently into every logit; refuse it."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{where} holds non-finite values (NaN or infinity)")
 
 
 def random_weights(cfg: ModelConfig, seed: int, scale: float = 0.25) -> WeightSet:

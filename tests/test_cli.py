@@ -87,6 +87,24 @@ def test_generate_fixed_mode(model_files, tmp_path, capsys):
     assert out.exists()
 
 
+def test_generate_rejects_wide_fixed_format(model_files, tmp_path, capsys):
+    cfg_path, w_path = model_files
+    out = tmp_path / "wide.wav"
+    rc = run_cli(
+        [
+            "generate",
+            "--config", str(cfg_path),
+            "--weights", str(w_path),
+            "--seconds", "0.05",
+            "--mode", "fixed<40,8>",
+            "--out", str(out),
+        ]
+    )
+    assert rc != 0
+    assert "total_bits <= 32" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_missing_weights(model_files, tmp_path, capsys):
     cfg_path, _ = model_files
     rc = run_cli(
@@ -122,7 +140,9 @@ def test_verify_passes(model_files, capsys):
     rc = run_cli(["verify", "--config", str(cfg_path), "--seed", "3"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.count("ok   ") == 3
+    assert out.count("ok   ") == 4
+    assert "ok   queue generator vs naive reference, real" in out
+    assert "ok   queue generator vs naive reference, fixed<27,8>" in out
     assert "FAIL" not in out
 
 

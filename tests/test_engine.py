@@ -10,10 +10,11 @@ agreement must be bit for bit.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwavenet import (
@@ -37,6 +38,12 @@ from qwavenet import (
 P_COMBOS = [
     ParallelismParams(po, pi) for po in (1, 2, 4, 8) for pi in (1, 2, 4, 8)
 ]
+FX16_3 = FxFormat(16, 3)
+
+
+def input_major(W):
+    """The same matrix stored the way inference lowers weights: W.T contiguous."""
+    return np.ascontiguousarray(W.T).T
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +217,22 @@ def test_matvec_integer_exact_all_parallelisms(p):
     assert np.array_equal(matvec(W, x, bias=b, p=p), W @ x + b)
 
 
-@settings(max_examples=60, deadline=None)
+# N reaches past numpy's 8-element pairwise-summation threshold in the
+# chunk count, and M = 1 with p_in = 1 leaves one element per chunk slab.
+@settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 6),
-    st.integers(1, 11),
+    st.integers(1, 40),
     st.integers(0, 3),
     st.integers(1, 8),
     st.integers(0, 10_000),
     st.booleans(),
 )
+@example(M=1, N=9, p_pow=0, p_out=1, seed=0, with_bias=False)
+@example(M=1, N=40, p_pow=0, p_out=1, seed=1, with_bias=True)
 def test_matvec_real_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_bias):
     rng = np.random.default_rng(seed)
-    W = rng.uniform(-3, 3, (M, N))
+    W = rng.uniform(-3, 3, (M, N)) * 10.0 ** rng.integers(-6, 7, (M, N))
     x = rng.uniform(-3, 3, N)
     b = rng.uniform(-3, 3, M) if with_bias else None
     p = ParallelismParams(p_out, 2**p_pow)
@@ -229,30 +240,38 @@ def test_matvec_real_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_b
     add, mul, zero = real_ops()
     want = scalar_matvec(W.tolist(), x.tolist(), None if b is None else b.tolist(), p, add, mul, zero)
     assert got.tolist() == want
+    assert matvec(input_major(W), x, bias=b, p=p).tolist() == want
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 5),
-    st.integers(1, 9),
+    st.integers(1, 40),
     st.integers(0, 3),
     st.integers(1, 8),
     st.integers(0, 10_000),
     st.booleans(),
+    st.sampled_from([FX27_8, FX16_3]),
+    st.integers(0, 16),
 )
-def test_matvec_fixed_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_bias):
-    # full-range raws so products and sums saturate often
+@example(M=1, N=9, p_pow=0, p_out=1, seed=0, with_bias=False, fmt=FX27_8, shrink=0)
+def test_matvec_fixed_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_bias, fmt, shrink):
+    # raws span +-raw_max >> shrink: full range saturates products and sums
+    # often, mid ranges straddle the no-saturation shortcut, small ones take it
     rng = np.random.default_rng(seed)
-    W = rng.integers(FX27_8.raw_min, FX27_8.raw_max + 1, (M, N))
-    x = rng.integers(FX27_8.raw_min, FX27_8.raw_max + 1, N)
-    b = rng.integers(FX27_8.raw_min, FX27_8.raw_max + 1, M) if with_bias else None
+    hi = max(fmt.raw_max >> shrink, 1)
+    W = rng.integers(-hi, hi + 1, (M, N))
+    x = rng.integers(-hi, hi + 1, N)
+    b = rng.integers(fmt.raw_min, fmt.raw_max + 1, M) if with_bias else None
     p = ParallelismParams(p_out, 2**p_pow)
-    got = matvec(W, x, bias=b, p=p, mode=FixedMode())
-    add, mul, zero = fixed_ops(FX27_8)
+    mode = FixedMode(fmt)
+    got = matvec(W, x, bias=b, p=p, mode=mode)
+    add, mul, zero = fixed_ops(fmt)
     want = scalar_matvec(
         W.tolist(), x.tolist(), None if b is None else b.tolist(), p, add, mul, zero
     )
     assert got.tolist() == want
+    assert matvec(input_major(W), x, bias=b, p=p, mode=mode).tolist() == want
 
 
 def test_matvec_rejects_bad_shapes():
@@ -274,7 +293,7 @@ def test_matvec_fixed_rejects_float_input():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 9), st.integers(1, 7), st.integers(0, 10_000))
+@given(st.integers(1, 5), st.integers(1, 40), st.integers(1, 7), st.integers(0, 10_000))
 def test_matvec_cols_equals_per_column_matvec(M, N, T, seed):
     rng = np.random.default_rng(seed)
     W = rng.uniform(-2, 2, (M, N))
@@ -283,19 +302,25 @@ def test_matvec_cols_equals_per_column_matvec(M, N, T, seed):
     for p in (ParallelismParams(1, 1), ParallelismParams(8, 4), ParallelismParams(3, 2)):
         got = matvec_cols(W, X, bias=b, p=p)
         assert got.shape == (M, T)
+        assert np.array_equal(matvec_cols(input_major(W), X, bias=b, p=p), got)
+        # a history-shaped batch: X given as the transpose of (T, N) rows
+        assert np.array_equal(matvec_cols(W, X.T.copy().T, bias=b, p=p), got)
         for t in range(T):
             assert np.array_equal(got[:, t], matvec(W, X[:, t].copy(), bias=b, p=p))
 
 
 def test_matvec_cols_fixed_equals_per_column():
     rng = np.random.default_rng(3)
-    W = rng.integers(-(2**25), 2**25, (4, 7))
-    X = rng.integers(-(2**25), 2**25, (7, 5))
-    b = rng.integers(-(2**25), 2**25, 4)
-    m = FixedMode()
-    got = matvec_cols(W, X, bias=b, mode=m)
-    for t in range(5):
-        assert np.array_equal(got[:, t], matvec(W, X[:, t].copy(), bias=b, mode=m))
+    for fmt, shrink in product((FX27_8, FX16_3), (0, 6, 12)):
+        hi = fmt.raw_max >> shrink
+        W = rng.integers(-hi, hi + 1, (4, 37))
+        X = rng.integers(-hi, hi + 1, (37, 5))
+        b = rng.integers(-hi, hi + 1, 4)
+        m = FixedMode(fmt)
+        got = matvec_cols(W, X, bias=b, mode=m)
+        assert np.array_equal(matvec_cols(input_major(W), X, bias=b, mode=m), got)
+        for t in range(5):
+            assert np.array_equal(got[:, t], matvec(W, X[:, t].copy(), bias=b, mode=m))
 
 
 def test_matvec_cols_rejects_bad_shapes():

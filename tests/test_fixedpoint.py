@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qwavenet import (
     FX27_8,
+    FixedMode,
     FormatMismatchError,
     FxFormat,
     FxValue,
@@ -25,6 +26,7 @@ from qwavenet import (
     fx_tanh,
     mul_raw,
     parse_format,
+    parse_mode,
     quantize_real,
     raw_to_real,
     saturate_raw,
@@ -285,6 +287,12 @@ def test_vector_ops_reject_wide_formats():
     a = np.array([1, 2], dtype=np.int64)
     with pytest.raises(ValueError):
         mul_raw(a, a, wide)
+    # so a numeric mode cannot be built on one
+    with pytest.raises(ValueError):
+        FixedMode(wide)
+    with pytest.raises(ValueError):
+        parse_mode("fixed<40,8>")
+    FixedMode(FxFormat(total_bits=32, int_bits=8))
     # scalar path has no such limit
     v = to_fixed(100.0, wide)
     assert to_real(fx_mul(v, v)) == pytest.approx(10000.0)

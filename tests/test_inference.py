@@ -147,6 +147,10 @@ def test_argmax_examples():
     assert argmax_sample(np.array([1.0, 3.0, 3.0, 2.0])) == 1
     with pytest.raises(ValueError):
         argmax_sample(np.array([]))
+    # np.argmax would pick the first NaN; a non-finite logit is refused instead
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            argmax_sample(np.array([0.1, bad, 0.3]))
 
 
 @given(st.lists(st.integers(-100, 100), min_size=1, max_size=50))
@@ -220,8 +224,18 @@ def test_generate_seed_drives_queues():
             logits = sess.forward(x, None)
             x = dequantize(argmax_sample(logits), TINY.quant_levels)
         total = len(feed) + n
-        for st_ in sess.state.layers:
+        for st_ in sess.layers:
             assert st_.queue.head == total % st_.queue.length
+
+
+def test_generate_rejects_non_finite_weights():
+    ws = random_weights(TINY, seed=3)
+    k0 = ws.kernels[1][0].copy()
+    k0[0, 0] = np.nan
+    kernels = (ws.kernels[0], (k0, ws.kernels[1][1])) + ws.kernels[2:]
+    bad = WeightSet(kernels=kernels, fc_weight=ws.fc_weight, fc_bias=ws.fc_bias)
+    with pytest.raises(ValueError, match="non-finite"):
+        generate(TINY, bad, n=8)
 
 
 def test_generate_empty_seed_equals_zero_seed():

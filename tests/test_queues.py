@@ -125,7 +125,6 @@ def test_layer_state_fresh():
     st_ = LayerState.fresh(spec)
     assert st_.queue.length == spec.queue_length == 4
     assert st_.queue.channels == spec.in_channels == 4
-    assert np.array_equal(st_.last_output, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +167,6 @@ def test_conv_step_pushes_current_input():
     ]
     # with K1 = 0 the output is just the front: the input from 2 steps ago
     assert outs == [0.0, 0.0, 1.0, 2.0]
-
-
-def test_conv_step_updates_last_output():
-    spec = LayerSpec(1, 1, 1, 1, dilation=1, queue_length=1)
-    state = LayerState.fresh(spec)
-    k = np.array([[1.0]])
-    out = dilated_conv_step(state, np.array([0.2]), k, k, p=P11)
-    assert np.array_equal(state.last_output, out)
 
 
 def test_conv_step_zero_kernels():

@@ -140,6 +140,38 @@ def test_validate_rejects_wrong_shapes():
         bad.validate(CFG)
 
 
+@pytest.mark.parametrize("where", ["kernel", "fc_weight", "fc_bias"])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite(tmp_path, where, bad_value):
+    ws = random_weights(CFG, seed=7)
+    kernels = [list(pair) for pair in ws.kernels]
+    fc_weight, fc_bias = ws.fc_weight.copy(), ws.fc_bias.copy()
+    if where == "kernel":
+        kernels[2][1] = kernels[2][1].copy()
+        kernels[2][1][1, 0] = bad_value
+    elif where == "fc_weight":
+        fc_weight[3, 1] = bad_value
+    else:
+        fc_bias[5] = bad_value
+    bad = WeightSet(tuple(tuple(pair) for pair in kernels), fc_weight, fc_bias)
+    with pytest.raises(ValueError, match="non-finite"):
+        bad.validate(CFG)
+    path = tmp_path / "w.bin"
+    with pytest.raises(ValueError, match="non-finite"):
+        save_weights(path, bad, CFG)
+    assert not path.exists()
+
+
+def test_load_rejects_non_finite(tmp_path):
+    path = tmp_path / "w.bin"
+    save_weights(path, random_weights(CFG, seed=7), CFG)
+    data = bytearray(path.read_bytes())
+    data[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last FC bias entry
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_weights(path, CFG)
+
+
 def test_save_validates_before_writing(tmp_path):
     ws = random_weights(CFG, seed=7)
     other = ModelConfig(num_blocks=1, layers_per_block=3, channels=5, quant_levels=16)
