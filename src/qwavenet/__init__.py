@@ -44,7 +44,6 @@ from .inference import (
     argmax_sample,
     default_layer_params,
     dequantize,
-    fc_forward,
     generate,
     generate_naive,
     quantize,

@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from .engine import ParallelismParams, estimate_cycles, matvec
-from .inference import generate, generate_naive
+from .inference import default_layer_params, generate, generate_naive
 from .metrics import SpectrogramParams, metric_report
 from .model import ModelConfig, config_digest, load_config, validate_config
 from .numerics import FixedMode, RealMode, parse_mode
@@ -78,8 +78,6 @@ def _cmd_generate(args) -> int:
     wf = generate(cfg, ws, n=n, mode=mode)
     wall = time.perf_counter() - t0
     write_wav(args.out, wf.samples, wf.sample_rate)
-
-    from .inference import default_layer_params
 
     layer_params = [
         [p.num_parallel_out, p.num_parallel_in]

@@ -101,13 +101,15 @@ def quantize_real(x, fmt: FxFormat):
         raise ValueError("cannot quantize NaN")
     neg = v < 0
     np.abs(v, out=v)
-    v += 0.5
-    np.floor(v, out=v)
-    np.negative(v, out=v, where=neg)
     # float-stage clip keeps the int64 cast safe for infinities / huge inputs
     np.minimum(v, 2.0**62, out=v)
-    np.maximum(v, -(2.0**62), out=v)
-    return _saturate_inplace(v.astype(np.int64), fmt)
+    # floor(|v| + 0.5) would round the sum itself, sending 0.5 - 2**-54 to 1;
+    # the fraction |v| - floor(|v|) is exact, so compare that with one half
+    r = np.floor(v)
+    v -= r
+    r += v >= 0.5
+    np.negative(r, out=r, where=neg)
+    return _saturate_inplace(r.astype(np.int64), fmt)
 
 
 def raw_to_real(raw, fmt: FxFormat):

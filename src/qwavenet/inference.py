@@ -7,25 +7,30 @@ connected projection to one logit per quantization bin -> argmax -> dequantize
 argmax of logits equals argmax of softmax(logits) and keeps generation
 deterministic.
 
-Three drivers share that step:
+One step loop runs every driver.  Its inputs come in two phases: a forced
+sequence first, then samples fed back from the model's own argmax.  Its
+backend is one of two network passes:
 
-* ``generate`` — the queue-based generator, O(layers) matvecs per sample;
-* ``generate_naive`` — recomputes every layer activation from the full input
-  history each step (no queues).  Its per-sample cost grows with time; it
-  exists as the reference the queue path must match exactly;
-* ``teacher_forced_layer_outputs`` — drives the network with a given input
-  sequence instead of its own output, recording layer activations, which
-  isolates arithmetic error from autoregressive divergence when comparing
-  numeric modes.
+* ``_Session.forward`` — the queue path, O(layers) matvecs per sample;
+* ``_Session.forward_naive`` — recomputes every layer activation from the
+  full input history each step (no queues).  Its per-sample cost grows with
+  time; it exists as the reference the queue path must match exactly.
 
-Seed samples warm the queues before generation: they are pushed through the
-network, their outputs discarded except the last, which becomes the first
-generation input.  An empty seed means a single zero sample.
+``generate`` forces the seed samples, then feeds back ``n`` samples through
+the queue path; ``generate_naive`` does the same through the full-history
+path.  ``teacher_forced_layer_outputs`` forces a given input sequence and
+feeds nothing back, recording layer activations, which isolates arithmetic
+error from autoregressive divergence when comparing numeric modes.
+
+Seed samples warm the queues before generation: their argmax outputs are
+discarded except the last, which becomes the first generation input.  An
+empty seed means a single zero sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -66,16 +71,6 @@ def dequantize(b, levels: int):
         raise ValueError(f"bin out of range [0, {levels - 1}]")
     out = 2.0 * b.astype(np.float64) / (levels - 1) - 1.0
     return float(out) if out.ndim == 0 else out
-
-
-def fc_forward(W, b, x, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
-    """Final projection: logits[j] = sum_i x[i] W[i, j] + b[j].
-
-    W is stored input-major (in_dim, out_dim); this is the vector-matrix
-    orientation, evaluated as an engine matvec on the transpose, which the
-    engine reads in place.
-    """
-    return matvec(np.asarray(W).T, x, bias=b, p=p, mode=mode, stats=stats)
 
 
 def argmax_sample(logits) -> int:
@@ -121,33 +116,23 @@ def default_layer_params(layer_specs) -> tuple[ParallelismParams, ...]:
     )
 
 
-def _normalize_layer_params(layer_params, specs):
-    if layer_params is None:
-        return default_layer_params(specs)
-    if isinstance(layer_params, ParallelismParams):
-        return tuple(layer_params for _ in specs)
-    params = tuple(layer_params)
-    if len(params) != len(specs):
-        raise ValueError(f"expected {len(specs)} per-layer params, got {len(params)}")
-    return params
-
-
 class _Session:
     """A configured model lowered into one numeric mode: native-format
-    kernels and FC weight, fresh layer queues in sweep order.
+    kernels and FC weight, fresh layer queues in sweep order, and an empty
+    input history for the full-history backend.
 
     Each (out, in) matrix is lowered once into input-major storage and kept
     as the (out, in) view of it, whose transpose is the contiguous layout the
-    engine reads; no matvec copies a weight.
+    engine reads; no matvec copies a weight.  Layers run at
+    ``default_layer_params``, the FC layer at ``DEFAULT_PARALLELISM``.
     """
 
-    def __init__(self, cfg: ModelConfig, ws: WeightSet, mode, layer_params, fc_params):
+    def __init__(self, cfg: ModelConfig, ws: WeightSet, mode):
         ws.validate(cfg)
         self.cfg = cfg
         self.mode = mode
         self.specs = validate_config(cfg)
-        self.params = _normalize_layer_params(layer_params, self.specs)
-        self.fc_params = fc_params
+        self.params = default_layer_params(self.specs)
 
         def lower(w):
             return mode.from_real(np.ascontiguousarray(w.T)).T
@@ -156,17 +141,56 @@ class _Session:
         self.fc_wt = lower(ws.fc_weight.T)
         self.fc_b = mode.from_real(ws.fc_bias)
         self.layers = [LayerState.fresh(spec, dtype=mode.dtype) for spec in self.specs]
+        self.history = mode.zeros((0, 1))
 
-    def forward(self, x_scalar: float, stats=None):
+    def forward(self, x_scalar: float, stats=None, outputs=None):
         """One full network pass on a scalar input; returns native logits.
 
-        Every queue receives exactly one push.
+        Every queue receives exactly one push.  ``outputs`` maps a layer
+        index to an iterator over writable float64 rows; each pass writes
+        that layer's output, in the real domain, into the iterator's next row.
         """
         mode = self.mode
         cur = mode.from_real(np.array([x_scalar], dtype=np.float64))
-        for layer, (k0, k1), p in zip(self.layers, self.kernels, self.params):
+        for i, (layer, (k0, k1), p) in enumerate(zip(self.layers, self.kernels, self.params)):
             cur = dilated_conv_step(layer, cur, k0, k1, p=p, mode=mode, stats=stats)
-        return matvec(self.fc_wt, cur, bias=self.fc_b, p=self.fc_params, mode=mode, stats=stats)
+            if outputs is not None and i in outputs:
+                next(outputs[i])[:] = mode.to_real(cur)
+        return matvec(self.fc_wt, cur, bias=self.fc_b, mode=mode, stats=stats)
+
+    def forward_naive(self, x_scalar: float, stats=None):
+        """``forward`` without queues: appends the input to the history,
+        re-evaluates the whole layer stack over it, and projects the newest
+        activation."""
+        mode = self.mode
+        step_in = mode.from_real(np.array([[x_scalar]], dtype=np.float64))
+        self.history = act = np.concatenate([self.history, step_in], axis=0)
+        for spec, (k0, k1), p in zip(self.specs, self.kernels, self.params):
+            lin = naive_dilated_conv_sequence(act, k0, k1, spec.dilation, p=p, mode=mode, stats=stats)
+            act = mode.tanh(lin)
+        return matvec(self.fc_wt, act[-1], bias=self.fc_b, mode=mode, stats=stats)
+
+
+def _run(session: _Session, backend, forced, n: int, stats=None, logit_sink=None) -> np.ndarray:
+    """The step loop every driver runs; returns the argmax bin of each step.
+
+    Step t's input is ``forced[t]`` for the forced steps, then the
+    dequantized bin of step t - 1 for ``n`` fed-back steps.  ``backend`` is
+    the network pass, ``_Session.forward`` or ``_Session.forward_naive``,
+    called as ``backend(session, x, stats)``.  When ``logit_sink`` is a list,
+    the real-valued logits of every fed-back step are appended to it.
+    """
+    levels = session.cfg.quant_levels
+    n_forced = len(forced)
+    bins = np.empty(n_forced + n, dtype=np.int64)
+    b = None
+    for t in range(bins.size):
+        x = forced[t] if t < n_forced else dequantize(b, levels)
+        logits = backend(session, x, stats)
+        if logit_sink is not None and t >= n_forced:
+            logit_sink.append(session.mode.to_real(logits))
+        b = bins[t] = argmax_sample(logits)
+    return bins
 
 
 def _check_seed(seed_samples) -> list[float]:
@@ -176,14 +200,22 @@ def _check_seed(seed_samples) -> list[float]:
     return seed or [0.0]
 
 
+def _generate(backend, cfg, ws, seed_samples, n, mode, stats, logit_sink) -> Waveform:
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    seed = _check_seed(seed_samples)
+    bins = _run(_Session(cfg, ws, mode), backend, seed, n, stats, logit_sink)[len(seed):]
+    return Waveform(
+        samples=dequantize(bins, cfg.quant_levels), bins=bins, sample_rate=cfg.sample_rate
+    )
+
+
 def generate(
     cfg: ModelConfig,
     ws: WeightSet,
     seed_samples=None,
     n: int = 1,
     mode=_REAL,
-    layer_params=None,
-    fc_params=DEFAULT_PARALLELISM,
     stats=None,
     logit_sink=None,
 ) -> Waveform:
@@ -193,26 +225,7 @@ def generate(
     When ``logit_sink`` is a list, the real-valued logits of every emitted
     sample are appended to it.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    seed = _check_seed(seed_samples)
-    session = _Session(cfg, ws, mode, layer_params, fc_params)
-    levels = cfg.quant_levels
-
-    for s in seed:
-        logits = session.forward(s, stats)
-    x = dequantize(argmax_sample(logits), levels)
-
-    bins = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        logits = session.forward(x, stats)
-        if logit_sink is not None:
-            logit_sink.append(session.mode.to_real(logits))
-        b = argmax_sample(logits)
-        bins[i] = b
-        x = dequantize(b, levels)
-
-    return Waveform(samples=dequantize(bins, levels), bins=bins, sample_rate=cfg.sample_rate)
+    return _generate(_Session.forward, cfg, ws, seed_samples, n, mode, stats, logit_sink)
 
 
 def generate_naive(
@@ -221,8 +234,6 @@ def generate_naive(
     seed_samples=None,
     n: int = 1,
     mode=_REAL,
-    layer_params=None,
-    fc_params=DEFAULT_PARALLELISM,
     stats=None,
     logit_sink=None,
 ) -> Waveform:
@@ -232,42 +243,10 @@ def generate_naive(
     history and reads off the newest activation, so per-sample work grows
     with the time index.  Output contract matches ``generate`` exactly.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    seed = _check_seed(seed_samples)
-    session = _Session(cfg, ws, mode, layer_params, fc_params)
-    levels = cfg.quant_levels
-    mode_ = session.mode
-
-    history = mode_.zeros((0, 1))
-
-    def forward(x_scalar: float):
-        nonlocal history
-        step_in = mode_.from_real(np.array([[x_scalar]], dtype=np.float64))
-        history = np.concatenate([history, step_in], axis=0)
-        act = history
-        for spec, (k0, k1), p in zip(session.specs, session.kernels, session.params):
-            lin = naive_dilated_conv_sequence(act, k0, k1, spec.dilation, p=p, mode=mode_, stats=stats)
-            act = mode_.tanh(lin)
-        return matvec(session.fc_wt, act[-1], bias=session.fc_b, p=session.fc_params, mode=mode_, stats=stats)
-
-    for s in seed:
-        logits = forward(s)
-    x = dequantize(argmax_sample(logits), levels)
-
-    bins = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        logits = forward(x)
-        if logit_sink is not None:
-            logit_sink.append(mode_.to_real(logits))
-        b = argmax_sample(logits)
-        bins[i] = b
-        x = dequantize(b, levels)
-
-    return Waveform(samples=dequantize(bins, levels), bins=bins, sample_rate=cfg.sample_rate)
+    return _generate(_Session.forward_naive, cfg, ws, seed_samples, n, mode, stats, logit_sink)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TeacherForcedTrace:
     """Per-step network record under a forced input sequence.
 
@@ -276,9 +255,9 @@ class TeacherForcedTrace:
     model's per-step predictions, which are never fed back.
     """
 
-    layer_outputs: dict = field(default_factory=dict)
-    bins: np.ndarray = None
-    samples: np.ndarray = None
+    layer_outputs: dict
+    bins: np.ndarray
+    samples: np.ndarray
 
 
 def teacher_forced_layer_outputs(
@@ -286,8 +265,6 @@ def teacher_forced_layer_outputs(
     ws: WeightSet,
     inputs,
     mode=_REAL,
-    layer_params=None,
-    fc_params=DEFAULT_PARALLELISM,
     record_layers=None,
     stats=None,
 ) -> TeacherForcedTrace:
@@ -302,7 +279,7 @@ def teacher_forced_layer_outputs(
     if np.any(inputs < -1.0) or np.any(inputs > 1.0):
         raise ValueError("input samples must lie in [-1, 1]")
 
-    session = _Session(cfg, ws, mode, layer_params, fc_params)
+    session = _Session(cfg, ws, mode)
     n_layers = len(session.specs)
     if record_layers is None:
         record_layers = range(n_layers)
@@ -310,29 +287,10 @@ def teacher_forced_layer_outputs(
     if record_layers and not 0 <= record_layers[0] <= record_layers[-1] < n_layers:
         raise ValueError(f"record_layers out of range [0, {n_layers - 1}]")
 
-    steps = inputs.size
-    trace = TeacherForcedTrace(
-        layer_outputs={
-            i: np.empty((steps, session.specs[i].out_channels), dtype=np.float64)
-            for i in record_layers
-        },
-        bins=np.empty(steps, dtype=np.int64),
-    )
-    recorded = set(record_layers)
-
-    mode_ = session.mode
-    for t in range(steps):
-        cur = mode_.from_real(np.array([inputs[t]], dtype=np.float64))
-        for i, (layer, (k0, k1), p) in enumerate(
-            zip(session.layers, session.kernels, session.params)
-        ):
-            cur = dilated_conv_step(layer, cur, k0, k1, p=p, mode=mode_, stats=stats)
-            if i in recorded:
-                trace.layer_outputs[i][t] = mode_.to_real(cur)
-        logits = matvec(
-            session.fc_wt, cur, bias=session.fc_b, p=session.fc_params, mode=mode_, stats=stats
-        )
-        trace.bins[t] = argmax_sample(logits)
-
-    trace.samples = dequantize(trace.bins, cfg.quant_levels)
-    return trace
+    layer_outputs = {
+        i: np.empty((inputs.size, session.specs[i].out_channels), dtype=np.float64)
+        for i in record_layers
+    }
+    rows = {i: iter(trace) for i, trace in layer_outputs.items()}
+    bins = _run(session, partial(_Session.forward, outputs=rows), inputs, 0, stats)
+    return TeacherForcedTrace(layer_outputs, bins, dequantize(bins, cfg.quant_levels))

@@ -49,7 +49,8 @@ def test_generate_writes_wav_and_report(model_files, tmp_path, capsys):
     assert data["throughput_hz"] == pytest.approx(50 / data["wall_time"])
     assert len(data["config_digest"]) == 64
     assert len(data["weights_sha256"]) == 64
-    assert len(data["layer_params"]) == TINY.total_layers
+    # the single-channel input layer runs scalar, every other layer at (8, 4)
+    assert data["layer_params"] == [[1, 1]] + [[8, 4]] * (TINY.total_layers - 1)
 
 
 def test_generate_is_reproducible(model_files, tmp_path):

@@ -236,6 +236,19 @@ def test_quantize_real_matches_scalar(xs):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("fmt", [FX27_8, FMT8], ids=str)
+def test_quantize_real_rounds_near_halves_exactly(fmt):
+    # k + 0.5 - ulp must round down (for k = 0 that is 0.5 - 2**-54, where
+    # adding 0.5 in float64 would already give 1.0); exact ties round away
+    # from zero; infinities and huge values saturate
+    below_half = [np.nextafter(k + 0.5, 0.0) for k in range(4)]
+    ties = [k + 0.5 for k in range(4)]
+    mags = [m * 2.0**-fmt.frac_bits for m in below_half + ties] + [1e300, np.inf]
+    xs = np.array([s * m for m in mags for s in (1.0, -1.0)])
+    want = [to_fixed(float(x), fmt).raw for x in xs]
+    assert quantize_real(xs, fmt).tolist() == want
+
+
 def test_quantize_real_rejects_nan():
     with pytest.raises(ValueError):
         quantize_real(np.array([0.0, np.nan]), FX27_8)

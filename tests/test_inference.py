@@ -14,9 +14,9 @@ from qwavenet import (
     WeightSet,
     argmax_sample,
     dequantize,
-    fc_forward,
     generate,
     generate_naive,
+    matvec,
     quantize,
     random_weights,
     teacher_forced_layer_outputs,
@@ -111,33 +111,7 @@ def test_quantize_floor_rule():
 
 
 # ---------------------------------------------------------------------------
-# fully connected readout and sampling
-
-
-def test_fc_forward_orientation():
-    # W has shape (in_features, out_features); logits = x @ W + b
-    W = np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
-    b = np.array([0.5, 0.5, 0.5])
-    x = np.array([1.0, 1.0])
-    assert np.array_equal(fc_forward(W, b, x, p=ParallelismParams(1, 1)), [11.5, 22.5, 33.5])
-
-
-def test_fc_forward_zero_input_gives_bias():
-    rng = np.random.default_rng(2)
-    W = rng.uniform(-1, 1, (6, 9))
-    b = rng.uniform(-1, 1, 9)
-    assert np.array_equal(fc_forward(W, b, np.zeros(6)), b)
-
-
-@pytest.mark.parametrize("po", [1, 2, 8])
-@pytest.mark.parametrize("pi", [1, 4, 8])
-def test_fc_forward_integer_exact_across_p(po, pi):
-    rng = np.random.default_rng(4)
-    W = rng.integers(-9, 9, (128, 256)).astype(np.float64)
-    b = rng.integers(-9, 9, 256).astype(np.float64)
-    x = rng.integers(-9, 9, 128).astype(np.float64)
-    got = fc_forward(W, b, x, p=ParallelismParams(po, pi))
-    assert np.array_equal(got, x @ W + b)
+# sampling
 
 
 def test_argmax_examples():
@@ -214,7 +188,7 @@ def test_generate_seed_drives_queues():
 
     for seed_len in (0, 1, 3, 7):
         seed = np.linspace(-0.5, 0.5, seed_len) if seed_len else None
-        sess = _Session(TINY, ws, RealMode(), None, ParallelismParams(8, 4))
+        sess = _Session(TINY, ws, RealMode())
         feed = [0.0] if seed_len == 0 else list(seed)
         for x in feed:
             sess.forward(float(x), None)
@@ -334,9 +308,36 @@ def test_teacher_forced_matches_direct_stack_evaluation():
         act = mode.tanh(lin)
         assert np.array_equal(trace.layer_outputs[i], act)
 
+    # the readout W is input-major (in_features, out_features): logits = h @ W + b
+    for t, h in enumerate(act):
+        logits = matvec(ws.fc_weight.T, h, bias=ws.fc_bias)
+        assert trace.bins[t] == argmax_sample(logits)
     assert trace.bins.shape == (120,)
     assert trace.samples.shape == (120,)
     assert np.array_equal(trace.samples, dequantize(trace.bins, cfg.quant_levels))
+
+
+@pytest.mark.parametrize("mode", [RealMode(), FixedMode()], ids=["real", "fixed"])
+def test_teacher_forced_reproduces_generate(mode):
+    """Teacher forcing on the inputs ``generate`` consumed gives its bins.
+
+    ``generate`` feeds the seed, then the dequantized warm-up argmax, then
+    each emitted sample but the last; forcing exactly that sequence must
+    reproduce the emitted bins, and its bins over the seed prefix must equal
+    a seed-only teacher-forced run.
+    """
+    cfg = ModelConfig(num_blocks=2, layers_per_block=3, channels=8, quant_levels=64)
+    ws = random_weights(cfg, seed=23, scale=0.3)
+    seed = np.linspace(-0.7, 0.6, 9)
+    n = 50
+    wf = generate(cfg, ws, seed_samples=seed, n=n, mode=mode)
+
+    seed_only = teacher_forced_layer_outputs(cfg, ws, seed, mode=mode, record_layers=[])
+    x0 = dequantize(int(seed_only.bins[-1]), cfg.quant_levels)
+    forced = np.concatenate([seed, [x0], wf.samples[:-1]])
+    trace = teacher_forced_layer_outputs(cfg, ws, forced, mode=mode, record_layers=[])
+    assert np.array_equal(trace.bins[: seed.size], seed_only.bins)
+    assert np.array_equal(trace.bins[seed.size :], wf.bins)
 
 
 def test_teacher_forced_record_subset():
