@@ -14,11 +14,9 @@ from .engine import (
     OpStats,
     ParallelismParams,
     ShapeMismatchError,
-    dot_product,
     estimate_cycles,
     matvec,
     matvec_cols,
-    reduce_sum,
 )
 from .fixedpoint import (
     FX27_8,
@@ -81,7 +79,7 @@ from .queues import (
     naive_dilated_conv,
     naive_dilated_conv_sequence,
 )
-from .wavio import WavFormatError, WavSpec, read_wav, write_wav
+from .wavio import WavFormatError, read_wav, write_wav
 from .weights import (
     BadMagicError,
     TruncatedFileError,

@@ -37,8 +37,10 @@ class ShapeMismatchError(ValueError):
     """Operand shapes disagree."""
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _check_lanes(p_in: int) -> None:
+    """The reduction tree pairs lanes level by level: p_in is a power of two."""
+    if p_in < 1 or p_in & (p_in - 1):
+        raise ValueError(f"num_parallel_in must be a power of two >= 1, got {p_in}")
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,7 @@ class ParallelismParams:
     def __post_init__(self):
         if self.num_parallel_out < 1:
             raise ValueError(f"num_parallel_out must be >= 1, got {self.num_parallel_out}")
-        if not _is_pow2(self.num_parallel_in):
-            raise ValueError(
-                f"num_parallel_in must be a power of two >= 1, got {self.num_parallel_in}"
-            )
+        _check_lanes(self.num_parallel_in)
 
 
 DEFAULT_PARALLELISM = ParallelismParams(8, 4)
@@ -102,29 +101,13 @@ def _as_native(arr, mode):
 
 
 def _tree_reduce(arr, mode):
-    """Pairwise-reduce axis 0 to a single partial and return it.
+    """Pairwise-reduce axis 0, whose length is a power of two, to one partial.
 
-    Adjacent pairs are summed level by level; an odd trailing element passes
-    through to the next level unchanged.
+    Adjacent pairs are summed level by level.
     """
     while arr.shape[0] > 1:
-        n = arr.shape[0]
-        pairs = n // 2
-        nxt = mode.add(arr[0 : 2 * pairs : 2], arr[1 : 2 * pairs : 2])
-        if n % 2:
-            nxt = np.concatenate([nxt, arr[-1:]], axis=0)
-        arr = nxt
+        arr = mode.add(arr[0::2], arr[1::2])
     return arr[0]
-
-
-def reduce_sum(partials, mode=_REAL):
-    """Tree-sum a vector of partials (exact-arithmetic result = plain sum)."""
-    arr = _as_native(partials, mode)
-    if arr.ndim != 1:
-        raise ShapeMismatchError(f"expected 1-D partials, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("reduce_sum of empty vector")
-    return _tree_reduce(arr, mode)
 
 
 def _deal(a, p_in):
@@ -140,25 +123,6 @@ def _deal(a, p_in):
     return a.reshape((chunks, p_in) + a.shape[1:])
 
 
-def _accumulate(products, mode):
-    """Fold each lane of (chunks, p_in, ...) products in chunk order, then
-    tree-reduce the lane partials."""
-    return _tree_reduce(mode.fold(products), mode)
-
-
-def dot_product(x, w, p_in=1, mode=_REAL):
-    """Dot product with ``p_in`` round-robin accumulators and a tree combine."""
-    x = _as_native(x, mode)
-    w = _as_native(w, mode)
-    if x.ndim != 1 or w.ndim != 1 or x.shape != w.shape:
-        raise ShapeMismatchError(f"dot_product shapes {x.shape} vs {w.shape}")
-    if x.size == 0:
-        raise ValueError("dot_product of empty vectors")
-    if p_in < 1:
-        raise ValueError(f"p_in must be >= 1, got {p_in}")
-    return _accumulate(mode.mul(_deal(x, p_in), _deal(w, p_in)), mode)
-
-
 def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
     """Apply the engine matvec to every column of ``X``.
 
@@ -169,7 +133,7 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
     """
     W = _as_native(W, mode)
     X = _as_native(X, mode)
-    if W.ndim != 2 or X.ndim != 2 or W.shape[1] != X.shape[0]:
+    if W.ndim != 2 or X.ndim != 2 or W.shape[1] != X.shape[0] or X.shape[0] == 0:
         raise ShapeMismatchError(f"matvec shapes {W.shape} vs {X.shape}")
     M, N = W.shape
     T = X.shape[1]
@@ -177,16 +141,17 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
         bias = _as_native(bias, mode)
         if bias.shape != (M,):
             raise ShapeMismatchError(f"bias shape {bias.shape}, expected ({M},)")
+    p_in = p.num_parallel_in
+    _check_lanes(p_in)
     if stats is not None:
         stats.record(M, N, T)
     # products[k, l, r, t] = W[r, k*p_in + l] * X[k*p_in + l, t]; rows and
     # columns are independent lanes, so evaluating them together keeps each
     # column's declared MAC/tree order exactly.  Both operands are
     # contiguous, which keeps the product contiguous for the fold.
-    p_in = p.num_parallel_in
     Wt = _deal(np.ascontiguousarray(W.T), p_in)
     Xd = _deal(np.ascontiguousarray(X), p_in)
-    out = _accumulate(mode.mul(Wt[..., None], Xd[:, :, None, :]), mode)
+    out = _tree_reduce(mode.fold(mode.mul(Wt[..., None], Xd[:, :, None, :])), mode)
     if bias is not None:
         out = mode.add(out, bias[:, None])
     return out

@@ -89,6 +89,18 @@ def saturate_raw(raw, fmt: FxFormat):
     return np.clip(raw, fmt.raw_min, fmt.raw_max)
 
 
+def _round_half_away_f64(v):
+    """Round a float64 array to integral values, ties away from zero.
+
+    floor(|v| + 0.5) would round the sum itself, sending 0.5 - 2**-54 to 1;
+    the fraction modf splits off is exact, so compare that with one half.
+    Infinities pass through.
+    """
+    frac, r = np.modf(np.abs(v))
+    r += frac >= 0.5
+    return np.copysign(r, v)
+
+
 def quantize_real(x, fmt: FxFormat):
     """Real array -> int64 raws; round half away from zero, then saturate.
 
@@ -99,16 +111,9 @@ def quantize_real(x, fmt: FxFormat):
     v = np.asarray(x, dtype=np.float64) * float(1 << fmt.frac_bits)
     if np.isnan(v).any():
         raise ValueError("cannot quantize NaN")
-    neg = v < 0
-    np.abs(v, out=v)
+    r = _round_half_away_f64(v)
     # float-stage clip keeps the int64 cast safe for infinities / huge inputs
-    np.minimum(v, 2.0**62, out=v)
-    # floor(|v| + 0.5) would round the sum itself, sending 0.5 - 2**-54 to 1;
-    # the fraction |v| - floor(|v|) is exact, so compare that with one half
-    r = np.floor(v)
-    v -= r
-    r += v >= 0.5
-    np.negative(r, out=r, where=neg)
+    np.clip(r, -(2.0**62), 2.0**62, out=r)
     return _saturate_inplace(r.astype(np.int64), fmt)
 
 

@@ -35,6 +35,7 @@ from functools import partial
 import numpy as np
 
 from .engine import DEFAULT_PARALLELISM, ParallelismParams, matvec
+from .fixedpoint import _round_half_away_f64
 from .model import ModelConfig, validate_config
 from .numerics import RealMode
 from .queues import LayerState, dilated_conv_step, naive_dilated_conv_sequence
@@ -58,7 +59,7 @@ def quantize(x, levels: int):
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
     v = (np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0) + 1.0) / 2.0 * (levels - 1)
-    bins = np.floor(v + 0.5).astype(np.int64)  # v >= 0: half-up == half-away
+    bins = _round_half_away_f64(v).astype(np.int64)
     return int(bins) if bins.ndim == 0 else bins
 
 

@@ -68,7 +68,10 @@ class LayerSpec:
     in_channels: int
     out_channels: int
     dilation: int
-    queue_length: int
+
+    @property
+    def queue_length(self) -> int:
+        return self.dilation
 
     @property
     def queue_elems(self) -> int:
@@ -99,7 +102,6 @@ def validate_config(cfg: ModelConfig) -> list[LayerSpec]:
     specs = []
     for b in range(1, cfg.num_blocks + 1):
         for l in range(1, cfg.layers_per_block + 1):
-            dilation = 2 ** (l - 1)
             in_ch = 1 if (b == 1 and l == 1) else cfg.channels
             specs.append(
                 LayerSpec(
@@ -107,8 +109,7 @@ def validate_config(cfg: ModelConfig) -> list[LayerSpec]:
                     layer_index=l,
                     in_channels=in_ch,
                     out_channels=cfg.channels,
-                    dilation=dilation,
-                    queue_length=dilation,
+                    dilation=2 ** (l - 1),
                 )
             )
     return specs

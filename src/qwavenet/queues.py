@@ -25,23 +25,17 @@ _REAL = RealMode()
 
 
 class CyclicQueue:
-    """Fixed-length ring of channel vectors; head marks the oldest slot."""
+    """Fixed-length ring of channel vectors, zeroed at the start; head marks
+    the oldest slot."""
 
     __slots__ = ("storage", "head")
 
-    def __init__(self, length: int, channels: int, dtype=np.float64, init=None):
+    def __init__(self, length: int, channels: int, dtype=np.float64):
         if length < 1:
             raise ValueError(f"queue length must be >= 1, got {length}")
         if channels < 1:
             raise ValueError(f"channel count must be >= 1, got {channels}")
         self.storage = np.zeros((length, channels), dtype=dtype)
-        if init is not None:
-            init = np.asarray(init, dtype=dtype)
-            if init.shape != (channels,):
-                raise ShapeMismatchError(
-                    f"init vector shape {init.shape}, expected ({channels},)"
-                )
-            self.storage[:] = init
         self.head = 0
 
     @property
@@ -87,25 +81,16 @@ class LayerState:
 
 
 def dilated_conv_step(
-    state: LayerState,
-    prev_out,
-    k0,
-    k1,
-    p=DEFAULT_PARALLELISM,
-    apply_tanh: bool = True,
-    mode=_REAL,
-    stats=None,
+    state: LayerState, prev_out, k0, k1, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None
 ):
     """One layer, one time step, via the queue.
 
-    Computes k0 × (queue front) + k1 × prev_out, optionally tanh'd, then
-    pushes prev_out so it surfaces again ``dilation`` steps later.
+    Computes tanh(k0 × (queue front) + k1 × prev_out), then pushes prev_out
+    so it surfaces again ``dilation`` steps later.
     """
     delayed = matvec(k0, state.queue.front(), p=p, mode=mode, stats=stats)
     current = matvec(k1, prev_out, p=p, mode=mode, stats=stats)
-    out = mode.add(delayed, current)
-    if apply_tanh:
-        out = mode.tanh(out)
+    out = mode.tanh(mode.add(delayed, current))
     state.queue.push(prev_out)
     return out
 

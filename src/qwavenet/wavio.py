@@ -9,48 +9,37 @@ exactly that for plain PCM).
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass
 
 import numpy as np
+
+from .fixedpoint import _round_half_away_f64
+
+BIT_DEPTH = 16
+CHANNELS = 1
 
 
 class WavFormatError(ValueError):
     """File is not 16-bit mono PCM."""
 
 
-@dataclass(frozen=True)
-class WavSpec:
-    sample_rate: int
-    bit_depth: int = 16
-    channels: int = 1
-
-    def __post_init__(self):
-        if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
-        if self.bit_depth != 16:
-            raise ValueError("only 16-bit PCM is supported")
-        if self.channels != 1:
-            raise ValueError("only mono is supported")
-
-
 def encode_pcm16(samples) -> np.ndarray:
     """Real samples to int16 PCM codes."""
-    s = np.asarray(samples, dtype=np.float64) * 32767.0
-    rounded = np.sign(s) * np.floor(np.abs(s) + 0.5)
+    rounded = _round_half_away_f64(np.asarray(samples, dtype=np.float64) * 32767.0)
     return np.clip(rounded, -32768, 32767).astype("<i2")
 
 
 def write_wav(path, samples, sample_rate: int) -> None:
     """Write a mono 16-bit PCM file; samples are reals in [-1, 1]."""
-    spec = WavSpec(sample_rate)
+    if sample_rate < 1:
+        raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
     pcm = encode_pcm16(samples)
     with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(spec.channels)
-        fh.setsampwidth(spec.bit_depth // 8)
-        fh.setframerate(spec.sample_rate)
+        fh.setnchannels(CHANNELS)
+        fh.setsampwidth(BIT_DEPTH // 8)
+        fh.setframerate(sample_rate)
         fh.writeframes(pcm.tobytes())
 
 
@@ -65,7 +54,8 @@ def read_wav(path):
     except (wave.Error, EOFError) as exc:
         raise WavFormatError(f"{path}: not a WAV file ({exc})") from exc
     with fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2 or fh.getcomptype() != "NONE":
+        layout = (fh.getnchannels(), 8 * fh.getsampwidth(), fh.getcomptype())
+        if layout != (CHANNELS, BIT_DEPTH, "NONE"):
             raise WavFormatError(f"{path}: expected uncompressed 16-bit mono PCM")
         rate = fh.getframerate()
         raw = fh.readframes(fh.getnframes())

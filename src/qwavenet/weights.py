@@ -106,20 +106,23 @@ def random_weights(cfg: ModelConfig, seed: int, scale: float = 0.25) -> WeightSe
     return WeightSet(kernels=kernels, fc_weight=fc_w, fc_bias=fc_b)
 
 
+def _header_fields(cfg: ModelConfig) -> tuple[int, ...]:
+    """The six u32 header fields, in file order."""
+    return (
+        cfg.num_blocks,
+        cfg.layers_per_block,
+        cfg.filter_width,
+        cfg.channels,
+        cfg.quant_levels,
+        cfg.sample_rate,
+    )
+
+
 def save_weights(path, ws: WeightSet, cfg: ModelConfig) -> None:
     ws.validate(cfg)
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(
-            _HEADER.pack(
-                cfg.num_blocks,
-                cfg.layers_per_block,
-                cfg.filter_width,
-                cfg.channels,
-                cfg.quant_levels,
-                cfg.sample_rate,
-            )
-        )
+        f.write(_HEADER.pack(*_header_fields(cfg)))
         for k0, k1 in ws.kernels:
             f.write(np.ascontiguousarray(k0, dtype="<f4").tobytes())
             f.write(np.ascontiguousarray(k1, dtype="<f4").tobytes())
@@ -146,14 +149,7 @@ def load_weights(path, cfg: ModelConfig) -> WeightSet:
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
         header = _HEADER.unpack(_read_exact(f, _HEADER.size, "header"))
-        expected = (
-            cfg.num_blocks,
-            cfg.layers_per_block,
-            cfg.filter_width,
-            cfg.channels,
-            cfg.quant_levels,
-            cfg.sample_rate,
-        )
+        expected = _header_fields(cfg)
         if header != expected:
             raise WeightShapeError(
                 f"file header {header} does not match config {expected}"

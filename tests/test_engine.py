@@ -1,16 +1,17 @@
 """Parallel matvec engine against a scalar reference simulation.
 
 The engine promises a specific evaluation order: products are dealt
-round-robin to ``num_parallel_in`` accumulators, each accumulator folds its
-share sequentially, and the accumulators are combined by an adjacent-pair
-tree reduction (odd element carried).  The reference simulation below
-replays exactly that order one scalar operation at a time, using Python
-floats in real mode and the exact ``FxValue`` scalar path in fixed mode, so
-agreement must be bit for bit.
+round-robin to ``num_parallel_in`` accumulators (a power of two), each
+accumulator folds its share sequentially, and the accumulators are combined
+by an adjacent-pair tree reduction.  The reference simulation below replays
+exactly that order one scalar operation at a time, using Python floats in
+real mode and the exact ``FxValue`` scalar path in fixed mode, so agreement
+must be bit for bit.
 """
 
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,13 +27,11 @@ from qwavenet import (
     ParallelismParams,
     RealMode,
     ShapeMismatchError,
-    dot_product,
     estimate_cycles,
     fx_add,
     fx_mul,
     matvec,
     matvec_cols,
-    reduce_sum,
 )
 
 P_COMBOS = [
@@ -53,10 +52,7 @@ def input_major(W):
 def tree_sum(vals, add):
     vals = list(vals)
     while len(vals) > 1:
-        nxt = [add(vals[i], vals[i + 1]) for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
+        vals = [add(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
     return vals[0]
 
 
@@ -95,21 +91,31 @@ def fixed_ops(fmt):
     return add, mul, 0
 
 
+def one_row(vals, p_in, mode=RealMode()):
+    """A row of ones times ``vals``: with p_in = 1 the sequential lane fold,
+    with p_in = len(vals) the adjacent-pair tree over the values."""
+    ones = mode.from_real(np.ones((1, len(vals))))
+    return matvec(ones, vals, p=ParallelismParams(1, p_in), mode=mode)[0]
+
+
 # ---------------------------------------------------------------------------
-# reduce_sum order contract
+# one-row order contract
 
 
-def test_reduce_sum_examples():
-    assert reduce_sum(np.array([1.0, 2.0, 3.0, 4.0])) == 10.0
-    assert reduce_sum(np.array([5.0])) == 5.0
-    assert reduce_sum(np.arange(1000, dtype=np.float64)) == 499500.0
+def test_tree_matvec_examples():
+    assert one_row(np.array([1.0, 2.0, 3.0, 4.0]), 4) == 10.0
+    assert one_row(np.array([5.0]), 1) == 5.0
+    # 1000 values on 1024 lanes: the 24 empty lanes hold zeros
+    assert one_row(np.arange(1000, dtype=np.float64), 1024) == 499500.0
 
 
-def test_reduce_sum_rejects_empty_and_2d():
+def test_matvec_cols_rejects_lane_count_not_power_of_two():
+    # a duck-typed parallelism object skips ParallelismParams' own check
+    p = SimpleNamespace(num_parallel_out=1, num_parallel_in=3)
     with pytest.raises(ValueError):
-        reduce_sum(np.array([]))
+        matvec_cols(np.ones((2, 6)), np.ones((6, 1)), p=p)
     with pytest.raises(ValueError):
-        reduce_sum(np.ones((2, 2)))
+        matvec(np.ones((2, 6)), np.ones(6), p=p)
 
 
 def test_reduction_order_is_observable_under_saturation():
@@ -124,76 +130,62 @@ def test_reduction_order_is_observable_under_saturation():
     fmt = FxFormat(total_bits=8, int_bits=8)
     m = FixedMode(fmt)
     vals = np.array([100, 100, -100, -100], dtype=np.int64)
-    ones = np.ones(4, dtype=np.int64)
-    assert reduce_sum(vals, mode=m) == -1
-    assert dot_product(vals, ones, p_in=1, mode=m) == -73
+    assert one_row(vals, 4, mode=m) == -1
+    assert one_row(vals, 1, mode=m) == -73
     assert int(vals.sum()) == 0
 
 
+pow2_lengths = st.sampled_from([1, 2, 4, 8, 16, 32])
+
+
 @settings(max_examples=200)
-@given(
-    st.lists(
-        st.floats(-1e18, 1e18, allow_nan=False, allow_infinity=False),
-        min_size=1,
-        max_size=33,
+@given(pow2_lengths, st.data())
+def test_tree_matvec_matches_tree_oracle_bitwise(n, data):
+    vals = data.draw(
+        st.lists(
+            st.floats(-1e18, 1e18, allow_nan=False, allow_infinity=False),
+            min_size=n,
+            max_size=n,
+        )
     )
-)
-def test_reduce_sum_matches_tree_oracle_bitwise(vals):
-    got = reduce_sum(np.array(vals, dtype=np.float64))
+    got = one_row(np.array(vals, dtype=np.float64), n)
     want = tree_sum([float(v) for v in vals], lambda a, b: a + b)
     assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @settings(max_examples=100)
-@given(st.lists(st.integers(FX27_8.raw_min, FX27_8.raw_max), min_size=1, max_size=33))
-def test_reduce_sum_fixed_matches_tree_oracle(vals):
+@given(pow2_lengths, st.data())
+def test_tree_matvec_fixed_matches_tree_oracle(n, data):
+    vals = data.draw(
+        st.lists(st.integers(FX27_8.raw_min, FX27_8.raw_max), min_size=n, max_size=n)
+    )
     add, _, _ = fixed_ops(FX27_8)
-    got = reduce_sum(np.array(vals, dtype=np.int64), mode=FixedMode())
+    got = one_row(np.array(vals, dtype=np.int64), n, mode=FixedMode())
     assert got == tree_sum(vals, add)
 
 
-def test_reduce_sum_permutation_invariant_for_ints():
+def test_tree_matvec_permutation_invariant_for_ints():
     rng = np.random.default_rng(5)
     vals = rng.integers(-1000, 1000, 101).astype(np.float64)
-    assert reduce_sum(vals) == reduce_sum(np.flip(vals).copy()) == vals.sum()
+    assert one_row(vals, 128) == one_row(np.flip(vals).copy(), 128) == vals.sum()
 
 
 # ---------------------------------------------------------------------------
-# dot_product
+# one-row matvec: a single dot product
 
 
-def test_dot_product_examples():
+def test_one_row_matvec_examples():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    w = np.ones(4)
-    assert dot_product(x, w, p_in=2) == 10.0
-    assert dot_product(x, np.zeros(4)) == 0.0
-
-
-def test_dot_product_rejects_mismatched_lengths():
-    with pytest.raises(ShapeMismatchError):
-        dot_product(np.ones(3), np.ones(4))
+    assert matvec(np.ones((1, 4)), x, p=ParallelismParams(1, 2))[0] == 10.0
+    assert matvec(np.zeros((1, 4)), x)[0] == 0.0
 
 
 @pytest.mark.parametrize("p_in", [1, 2, 4, 8])
-def test_dot_product_integer_exact_across_p(p_in):
+def test_one_row_matvec_integer_exact_across_p(p_in):
     rng = np.random.default_rng(9)
     x = rng.integers(-50, 50, 37).astype(np.float64)
     w = rng.integers(-50, 50, 37).astype(np.float64)
-    assert dot_product(x, w, p_in=p_in) == float(np.dot(x, w))
-
-
-@settings(max_examples=100)
-@given(
-    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=20),
-    st.integers(0, 3),
-)
-def test_dot_product_matches_scalar_sim(xs, p_pow):
-    p_in = 2**p_pow
-    x = np.array(xs, dtype=np.float64)
-    w = np.linspace(-1.0, 1.0, len(xs))
-    add, mul, zero = real_ops()
-    want = lane_tree_dot([mul(a, b) for a, b in zip(x, w)], p_in, add, zero)
-    assert dot_product(x, w, p_in=p_in) == want
+    assert matvec(w[None, :], x, p=ParallelismParams(1, p_in))[0] == float(np.dot(x, w))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +273,8 @@ def test_matvec_rejects_bad_shapes():
         matvec(np.ones(3), np.ones(3))
     with pytest.raises(ShapeMismatchError):
         matvec(np.ones((2, 3)), np.ones(3), bias=np.ones(3))
+    with pytest.raises(ShapeMismatchError):
+        matvec(np.ones((2, 0)), np.ones(0))
 
 
 def test_matvec_fixed_rejects_float_input():

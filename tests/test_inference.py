@@ -102,12 +102,19 @@ def test_quantize_roundtrip_property(levels, seed):
 
 
 def test_quantize_floor_rule():
-    # binning is floor(u + 0.5) on the non-negative scaled value u, so a
-    # value exactly between two centers always maps to the higher bin
+    # binning rounds the non-negative scaled value u half up, so a value
+    # exactly between two centers always maps to the higher bin
     assert quantize(0.5, 3) == 2
     assert quantize(-0.5, 3) == 1
     assert quantize(0.49, 3) == 1
     assert quantize(-0.51, 3) == 0
+
+
+def test_quantize_rounds_just_below_half_down():
+    # (1 - 2**-53) / 2 = 0.5 - 2**-54 is exact, and floor(u + 0.5) would
+    # round that sum up to 1
+    assert quantize(-(2.0**-53), 2) == 0
+    assert quantize(np.array([-(2.0**-53)]), 2).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

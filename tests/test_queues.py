@@ -44,11 +44,6 @@ def test_queue_starts_zeroed():
     assert np.array_equal(q.front(), np.zeros(3))
 
 
-def test_queue_init_vector():
-    q = CyclicQueue(2, 2, init=np.array([1.0, 2.0]))
-    assert np.array_equal(q.front(), np.array([1.0, 2.0]))
-
-
 def test_queue_validation():
     with pytest.raises(ValueError):
         CyclicQueue(0, 1)
@@ -127,6 +122,12 @@ def test_layer_state_fresh():
     assert st_.queue.channels == spec.in_channels == 4
 
 
+def test_hand_built_spec_queue_follows_dilation():
+    spec = LayerSpec(1, 1, 1, 1, dilation=2)
+    assert spec.queue_length == 2
+    assert LayerState.fresh(spec).queue.length == 2
+
+
 # ---------------------------------------------------------------------------
 # single convolution step
 
@@ -137,7 +138,7 @@ def test_conv_step_scalar_example():
     The pre-activation is 0.3 + 0.2 = 0.5 and the squashed output is
     tanh(0.5); the high-precision value is 0.46211715726000976.
     """
-    spec = LayerSpec(1, 1, 1, 1, dilation=1, queue_length=1)
+    spec = LayerSpec(1, 1, 1, 1, dilation=1)
     state = LayerState.fresh(spec)
     state.queue.push(np.array([0.3]))
     k = np.array([[1.0]])
@@ -146,31 +147,22 @@ def test_conv_step_scalar_example():
     assert abs(out[0] - 0.46211715726000976) < 1e-15
 
 
-def test_conv_step_without_tanh_is_linear():
-    spec = LayerSpec(1, 1, 1, 1, dilation=1, queue_length=1)
-    state = LayerState.fresh(spec)
-    state.queue.push(np.array([0.3]))
-    k = np.array([[1.0]])
-    out = dilated_conv_step(state, np.array([0.2]), k, k, p=P11, apply_tanh=False)
-    assert out[0] == 0.5
-
-
 def test_conv_step_pushes_current_input():
     # the step must append prev_out to the queue after reading the front
-    spec = LayerSpec(1, 1, 1, 1, dilation=2, queue_length=2)
+    spec = LayerSpec(1, 1, 1, 1, dilation=2)
     state = LayerState.fresh(spec)
     k0 = np.array([[1.0]])
     k1 = np.array([[0.0]])
     outs = [
-        dilated_conv_step(state, np.array([v]), k0, k1, p=P11, apply_tanh=False)[0]
+        dilated_conv_step(state, np.array([v]), k0, k1, p=P11)[0]
         for v in (1.0, 2.0, 3.0, 4.0)
     ]
-    # with K1 = 0 the output is just the front: the input from 2 steps ago
-    assert outs == [0.0, 0.0, 1.0, 2.0]
+    # with K1 = 0 the output is tanh of the front: the input from 2 steps ago
+    assert outs == np.tanh([0.0, 0.0, 1.0, 2.0]).tolist()
 
 
 def test_conv_step_zero_kernels():
-    spec = LayerSpec(1, 1, 2, 3, dilation=1, queue_length=1)
+    spec = LayerSpec(1, 1, 2, 3, dilation=1)
     state = LayerState.fresh(spec)
     z = np.zeros((3, 2))
     out = dilated_conv_step(state, np.array([0.5, -0.5]), z, z, p=P11)
@@ -245,7 +237,7 @@ def test_queue_stack_matches_naive_recompute(mode):
 
 def test_conv_step_counts_two_matvecs():
     stats = OpStats()
-    spec = LayerSpec(1, 1, 3, 4, dilation=2, queue_length=2)
+    spec = LayerSpec(1, 1, 3, 4, dilation=2)
     state = LayerState.fresh(spec)
     rng = np.random.default_rng(0)
     k0 = rng.uniform(-1, 1, (4, 3))
