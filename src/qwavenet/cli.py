@@ -21,7 +21,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import product
 
@@ -105,13 +105,12 @@ def _cmd_generate(args) -> int:
 
 def _reduced_config(cfg: ModelConfig) -> ModelConfig:
     """Shrink a config so the quadratic-cost reference generator stays fast."""
-    return ModelConfig(
+    return replace(
+        cfg,
         num_blocks=min(cfg.num_blocks, 2),
         layers_per_block=min(cfg.layers_per_block, 4),
-        filter_width=cfg.filter_width,
         channels=min(cfg.channels, 8),
         quant_levels=min(cfg.quant_levels, 64),
-        sample_rate=cfg.sample_rate,
     )
 
 

@@ -1,10 +1,12 @@
 """Parameterized matrix-vector engine.
 
 Every matvec is evaluated the way a tiled hardware datapath would do it:
-output rows are processed in chunks of ``num_parallel_out``; within one dot
-product the input indices are dealt round-robin to ``num_parallel_in``
-accumulators, each accumulator MACs its share sequentially, and the partials
-are combined by a pairwise reduction tree.  The order is part of the contract
+within one dot product the input indices are dealt round-robin to
+``num_parallel_in`` accumulators, each accumulator MACs its share
+sequentially, and the partials are combined by a pairwise reduction tree.
+Rows are independent, so all of them are evaluated at once;
+``num_parallel_out``, the datapath's row-chunk width, enters only the cost
+model and the run report.  The order is part of the contract
 — two calls with the same operands and parameters produce identical results,
 in real or fixed-point mode, regardless of how the work is batched.
 

@@ -58,7 +58,10 @@ def quantize(x, levels: int):
     """
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
-    v = (np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0) + 1.0) / 2.0 * (levels - 1)
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("cannot quantize NaN")
+    v = (np.clip(x, -1.0, 1.0) + 1.0) / 2.0 * (levels - 1)
     bins = _round_half_away_f64(v).astype(np.int64)
     return int(bins) if bins.ndim == 0 else bins
 
@@ -194,10 +197,16 @@ def _run(session: _Session, backend, forced, n: int, stats=None, logit_sink=None
     return bins
 
 
+def _check_in_range(samples, what: str) -> None:
+    """Refuse samples outside [-1, 1]; NaN fails both bounds, so it is refused too."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if not ((samples >= -1.0) & (samples <= 1.0)).all():
+        raise ValueError(f"{what} must lie in [-1, 1]")
+
+
 def _check_seed(seed_samples) -> list[float]:
     seed = [float(s) for s in (seed_samples if seed_samples is not None else [])]
-    if any(not -1.0 <= s <= 1.0 for s in seed):
-        raise ValueError("seed samples must lie in [-1, 1]")
+    _check_in_range(seed, "seed samples")
     return seed or [0.0]
 
 
@@ -277,8 +286,7 @@ def teacher_forced_layer_outputs(
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 1 or inputs.size == 0:
         raise ValueError("inputs must be a non-empty 1-D sample sequence")
-    if np.any(inputs < -1.0) or np.any(inputs > 1.0):
-        raise ValueError("input samples must lie in [-1, 1]")
+    _check_in_range(inputs, "input samples")
 
     session = _Session(cfg, ws, mode)
     n_layers = len(session.specs)

@@ -72,12 +72,11 @@ class CyclicQueue:
 class LayerState:
     """One layer's mutable generation state: its queue."""
 
-    spec: LayerSpec
     queue: CyclicQueue
 
     @classmethod
     def fresh(cls, spec: LayerSpec, dtype=np.float64) -> "LayerState":
-        return cls(spec=spec, queue=CyclicQueue(spec.queue_length, spec.in_channels, dtype=dtype))
+        return cls(queue=CyclicQueue(spec.queue_length, spec.in_channels, dtype=dtype))
 
 
 def dilated_conv_step(

@@ -35,6 +35,8 @@ def write_wav(path, samples, sample_rate: int) -> None:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples hold non-finite values (NaN or infinity)")
     pcm = encode_pcm16(samples)
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(CHANNELS)

@@ -74,6 +74,14 @@ def test_quantize_validation():
         dequantize(-1, 256)
 
 
+def test_quantize_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        quantize(np.nan, 256)
+    with pytest.raises(ValueError, match="NaN"):
+        quantize(np.array([0.0, np.nan]), 256)
+    assert quantize(np.array([-np.inf, np.inf]), 256).tolist() == [0, 255]
+
+
 def test_quantize_array_matches_scalar():
     xs = np.linspace(-1.2, 1.2, 97)
     bins = quantize(xs, 256)
@@ -368,6 +376,16 @@ def test_teacher_forced_validation():
         teacher_forced_layer_outputs(cfg, ws, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         teacher_forced_layer_outputs(cfg, ws, np.array([]))
+
+
+@pytest.mark.parametrize("mode", [RealMode(), FixedMode()], ids=["real", "fixed"])
+def test_forced_and_seed_samples_refuse_nan(mode):
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
+    ws = random_weights(cfg, seed=1)
+    with pytest.raises(ValueError, match=r"input samples must lie in \[-1, 1\]"):
+        teacher_forced_layer_outputs(cfg, ws, np.array([0.0, np.nan]), mode=mode)
+    with pytest.raises(ValueError, match=r"seed samples must lie in \[-1, 1\]"):
+        generate(cfg, ws, seed_samples=[np.nan], n=1, mode=mode)
 
 
 def test_fixed_point_deviation_grows_slowly_with_depth():

@@ -96,6 +96,14 @@ def test_write_wav_validation(tmp_path):
         write_wav(path, np.zeros((2, 2)), 16000)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_wav_refuses_non_finite(tmp_path, bad):
+    path = tmp_path / "a.wav"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_wav(path, np.array([0.5, bad, 0.0]), 16000)
+    assert not path.exists()
+
+
 def test_read_rejects_stereo(tmp_path):
     path = tmp_path / "stereo.wav"
     with wave.open(str(path), "wb") as f:

@@ -140,6 +140,28 @@ def test_validate_rejects_wrong_shapes():
         bad.validate(CFG)
 
 
+@pytest.mark.parametrize("taps", [1, 3])
+def test_validate_rejects_kernel_entry_that_is_not_a_pair(tmp_path, taps):
+    ws = random_weights(CFG, seed=7)
+    kernels = list(ws.kernels)
+    kernels[1] = (kernels[1] * 2)[:taps]
+    bad = WeightSet(tuple(kernels), ws.fc_weight, ws.fc_bias)
+    with pytest.raises(WeightShapeError, match="expected a pair"):
+        bad.validate(CFG)
+    path = tmp_path / "w.bin"
+    with pytest.raises(WeightShapeError):
+        save_weights(path, bad, CFG)
+    assert not path.exists()
+
+
+def test_truncation_names_the_array(tmp_path):
+    path = tmp_path / "w.bin"
+    save_weights(path, random_weights(CFG, seed=7), CFG)
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(TruncatedFileError, match="fc_bias"):
+        load_weights(path, CFG)
+
+
 @pytest.mark.parametrize("where", ["kernel", "fc_weight", "fc_bias"])
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
 def test_validate_rejects_non_finite(tmp_path, where, bad_value):
