@@ -31,7 +31,6 @@ from .fixedpoint import (
     parse_format,
     quantize_real,
     raw_to_real,
-    saturate_raw,
     tanh_raw,
     to_fixed,
     to_real,
@@ -52,7 +51,6 @@ from .metrics import (
     MetricReport,
     SignalTooShortError,
     SpectrogramParams,
-    export_spectrogram,
     log_spectral_distance,
     metric_report,
     mse,
@@ -76,7 +74,6 @@ from .queues import (
     CyclicQueue,
     LayerState,
     dilated_conv_step,
-    naive_dilated_conv,
     naive_dilated_conv_sequence,
 )
 from .wavio import WavFormatError, read_wav, write_wav

@@ -73,10 +73,6 @@ class OpStats:
         self.matvec_calls += n_vectors
         self.mac_ops += rows * cols * n_vectors
 
-    def reset(self) -> None:
-        self.matvec_calls = 0
-        self.mac_ops = 0
-
 
 @dataclass(frozen=True)
 class CostEstimate:

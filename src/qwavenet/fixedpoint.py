@@ -85,10 +85,6 @@ def _check_vector_format(fmt: FxFormat) -> None:
         )
 
 
-def saturate_raw(raw, fmt: FxFormat):
-    return np.clip(raw, fmt.raw_min, fmt.raw_max)
-
-
 def _round_half_away_f64(v):
     """Round a float64 array to integral values, ties away from zero.
 

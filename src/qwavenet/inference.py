@@ -71,6 +71,8 @@ def dequantize(b, levels: int):
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
     b = np.asarray(b)
+    if b.dtype.kind not in "iu":
+        raise ValueError(f"bins must be integers, got dtype {b.dtype}")
     if np.any(b < 0) or np.any(b > levels - 1):
         raise ValueError(f"bin out of range [0, {levels - 1}]")
     out = 2.0 * b.astype(np.float64) / (levels - 1) - 1.0

@@ -10,7 +10,6 @@ constant, which standardization removes).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +127,3 @@ def metric_report(x1, x2, params: SpectrogramParams = SpectrogramParams()) -> Me
         lsd=log_spectral_distance(x1, x2, params),
         n_samples=int(np.asarray(x1).size),
     )
-
-
-def export_spectrogram(x, params: SpectrogramParams, path) -> None:
-    """Write the normalized log-spectrogram as CSV, one row per frame."""
-    grid = normalized_log_spectrogram(x, params)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in grid:
-            writer.writerow(f"{v:.12g}" for v in row)

@@ -6,9 +6,9 @@ at ``head`` is the oldest entry (the d-steps-delayed input), and one
 generation step does a single overwrite-and-advance — pop and push fused,
 never a shift.
 
-``naive_dilated_conv`` / ``naive_dilated_conv_sequence`` evaluate the same
-convolution directly from a full input history.  They exist as the reference
-path: queue-based and history-based evaluation must agree exactly.
+``naive_dilated_conv_sequence`` evaluates the same convolution directly from
+a full input history.  It exists as the reference path: queue-based and
+history-based evaluation must agree exactly.
 """
 
 from __future__ import annotations
@@ -103,32 +103,14 @@ def _delayed_history(history, dilation: int):
     return np.concatenate([pad, history[:-dilation]], axis=0)
 
 
-def naive_dilated_conv(history, k0, k1, dilation: int, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
-    """Dilated convolution at the latest step of an explicit input history.
-
-    history is (T, in_channels) with the current input in the last row; rows
-    before the start of time count as zeros.  No activation is applied.
-    """
-    history = np.asarray(history)
-    if history.ndim != 2 or history.shape[0] < 1:
-        raise ShapeMismatchError(f"history must be (T >= 1, channels), got {history.shape}")
-    t = history.shape[0] - 1
-    if t - dilation >= 0:
-        delayed_in = history[t - dilation]
-    else:
-        delayed_in = np.zeros(history.shape[1], dtype=history.dtype)
-    delayed = matvec(k0, delayed_in, p=p, mode=mode, stats=stats)
-    current = matvec(k1, history[t], p=p, mode=mode, stats=stats)
-    return mode.add(delayed, current)
-
-
 def naive_dilated_conv_sequence(
     history, k0, k1, dilation: int, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None
 ):
     """Dilated convolution at every step of the history at once.
 
-    Returns (T, out_channels); row t equals naive_dilated_conv(history[:t+1])
-    bit for bit — columns are independent engine lanes.
+    Returns (T, out_channels); row t is k0 × history[t - dilation] + k1 ×
+    history[t], with rows before the start of time as zeros and no activation.
+    Columns are independent engine lanes, so rows match one-column matvecs.
     """
     history = np.asarray(history)
     if history.ndim != 2 or history.shape[0] < 1:

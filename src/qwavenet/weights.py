@@ -71,7 +71,7 @@ class WeightSet:
     fc_bias: np.ndarray
 
     def validate(self, cfg: ModelConfig) -> None:
-        """Check shapes against ``cfg``, and that every value is finite."""
+        """Check shapes against ``cfg``, and that every value is a finite float32."""
         layout = _layout(cfg)
         n_pairs = (len(layout) - 2) // 2
         if len(self.kernels) != n_pairs:
@@ -84,6 +84,9 @@ class WeightSet:
         for (name, shape), a in zip(layout, _file_order(self)):
             if a.shape != shape:
                 raise WeightShapeError(f"{name} shape {a.shape}, expected {shape}")
+            if a.dtype.kind != "f" or a.dtype.itemsize != 4:
+                # the file stores float32, so any other dtype would not round-trip
+                raise TypeError(f"{name} has dtype {a.dtype}, expected float32")
             if not np.isfinite(a).all():
                 # NaN or infinity would flow silently into every logit
                 raise ValueError(f"{name} holds non-finite values (NaN or infinity)")
@@ -100,8 +103,8 @@ def _from_file_order(arrays) -> WeightSet:
 
 def random_weights(cfg: ModelConfig, seed: int, scale: float = 0.25) -> WeightSet:
     """Deterministic uniform weights in ``[-scale, scale]`` (test fixture)."""
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     rng = np.random.default_rng(seed)
     return _from_file_order(
         [rng.uniform(-scale, scale, size=shape).astype(np.float32) for _, shape in _layout(cfg)]

@@ -224,7 +224,8 @@ def test_explore_to_file_with_sweep(model_files, tmp_path):
         ]
     )
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as f:
+        rows = list(csv.reader(f))
     assert len(rows) == 1 + TINY.total_layers * 3 * 2
 
 

@@ -74,6 +74,13 @@ def test_quantize_validation():
         dequantize(-1, 256)
 
 
+@pytest.mark.parametrize("bins", [2.5, np.array([1.5])], ids=["scalar", "array"])
+def test_dequantize_rejects_non_integer_bins(bins):
+    # 2.5 would map to -0.2857, between the lattice points -0.4286 and -0.1429
+    with pytest.raises(ValueError, match="integers"):
+        dequantize(bins, 8)
+
+
 def test_quantize_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         quantize(np.nan, 256)

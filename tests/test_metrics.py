@@ -1,7 +1,5 @@
 """Waveform comparison metrics against direct-DFT and analytic oracles."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from qwavenet import (
     LengthMismatchError,
     SignalTooShortError,
     SpectrogramParams,
-    export_spectrogram,
     log_spectral_distance,
     metric_report,
     mse,
@@ -226,20 +223,3 @@ def test_metric_report_fields():
     assert rep.mse == pytest.approx(mse(a, b))
     assert rep.lsd == pytest.approx(log_spectral_distance(a, b, SMALL))
     assert rep.mse >= 0 and rep.lsd >= 0
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def test_export_spectrogram_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    x = rng.uniform(-1, 1, 300)
-    want = normalized_log_spectrogram(x, SMALL)
-    path = tmp_path / "spec.csv"
-    export_spectrogram(x, SMALL, path)
-    with open(path, newline="") as f:
-        rows = [[float(v) for v in row] for row in csv.reader(f)]
-    got = np.array(rows)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-9

@@ -21,14 +21,11 @@ from qwavenet import (
     OpStats,
     ParallelismParams,
     RealMode,
+    matvec,
     random_weights,
     validate_config,
 )
-from qwavenet.queues import (
-    dilated_conv_step,
-    naive_dilated_conv,
-    naive_dilated_conv_sequence,
-)
+from qwavenet.queues import dilated_conv_step, naive_dilated_conv_sequence
 
 P11 = ParallelismParams(1, 1)
 P84 = ParallelismParams(8, 4)
@@ -178,9 +175,9 @@ def test_naive_conv_reads_delayed_and_current():
     k1 = np.array([[10.0]])
     hist = np.array([[1.0], [2.0], [3.0]])
     # at t=2 with dilation 2: K0 @ x_0 + K1 @ x_2
-    assert naive_dilated_conv(hist, k0, k1, dilation=2, p=P11)[0] == 1.0 + 30.0
+    assert naive_dilated_conv_sequence(hist, k0, k1, dilation=2, p=P11)[-1, 0] == 1.0 + 30.0
     # dilation beyond the history start reads the zero padding
-    assert naive_dilated_conv(hist, k0, k1, dilation=4, p=P11)[0] == 30.0
+    assert naive_dilated_conv_sequence(hist, k0, k1, dilation=4, p=P11)[-1, 0] == 30.0
 
 
 def test_naive_conv_sequence_matches_single_steps():
@@ -190,9 +187,10 @@ def test_naive_conv_sequence_matches_single_steps():
     k1 = rng.uniform(-1, 1, (4, 3))
     seq = naive_dilated_conv_sequence(hist, k0, k1, dilation=2, p=P84)
     assert seq.shape == (9, 4)
-    for t in range(1, 10):
-        single = naive_dilated_conv(hist[:t], k0, k1, dilation=2, p=P84)
-        assert np.array_equal(seq[t - 1], single)
+    for t in range(9):
+        delayed_in = hist[t - 2] if t >= 2 else np.zeros(3)
+        single = matvec(k0, delayed_in, p=P84) + matvec(k1, hist[t], p=P84)
+        assert np.array_equal(seq[t], single)
 
 
 # ---------------------------------------------------------------------------

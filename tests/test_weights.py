@@ -10,6 +10,7 @@ from qwavenet import (
     WeightFileError,
     WeightShapeError,
     WeightSet,
+    generate,
     load_weights,
     random_weights,
     save_weights,
@@ -58,8 +59,9 @@ def test_random_weights_deterministic():
 
 
 def test_random_weights_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        random_weights(CFG, seed=0, scale=0.0)
+    for scale in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="scale"):
+            random_weights(CFG, seed=0, scale=scale)
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -182,6 +184,24 @@ def test_validate_rejects_non_finite(tmp_path, where, bad_value):
     with pytest.raises(ValueError, match="non-finite"):
         save_weights(path, bad, CFG)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
+def test_validate_rejects_non_float32(tmp_path, dtype):
+    """The file stores float32; any other dtype would not survive a reload."""
+    ws = random_weights(CFG, seed=7)
+    kernels = [list(pair) for pair in ws.kernels]
+    kernels[2][1] = kernels[2][1].astype(dtype)
+    bad = WeightSet(tuple(tuple(pair) for pair in kernels), ws.fc_weight, ws.fc_bias)
+    match = rf"layer 3 kernel\[1\] has dtype {np.dtype(dtype)}"
+    with pytest.raises(TypeError, match=match):
+        bad.validate(CFG)
+    path = tmp_path / "w.bin"
+    with pytest.raises(TypeError, match=match):
+        save_weights(path, bad, CFG)
+    assert not path.exists()
+    with pytest.raises(TypeError, match=match):
+        generate(CFG, bad, n=4)
 
 
 def test_load_rejects_non_finite(tmp_path):
