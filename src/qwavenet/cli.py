@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``generate`` — run the autoregressive generator and write a WAV file, with
-  an optional JSON run report (timings, throughput, config/weight digests);
+  an optional JSON run report (timings, throughput, config/weight digests,
+  Python/numpy versions and CPU count, and in fixed point each layer's
+  static headroom);
 * ``verify``   — self-check on a reduced version of the given config: queue
   semantics against a shifting FIFO, the engine against a plain matvec, and
   the queue-based generator against the naive full-history reference, in
@@ -19,16 +21,18 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .engine import ParallelismParams, estimate_cycles, matvec
-from .inference import default_layer_params, generate, generate_naive
+from .inference import default_layer_params, generate, generate_naive, static_headroom
 from .metrics import SpectrogramParams, metric_report
 from .model import ModelConfig, config_digest, load_config, validate_config
 from .numerics import FixedMode, RealMode, parse_mode
@@ -46,6 +50,10 @@ class RunReport:
     layer_params: list
     config_digest: str
     weights_sha256: str
+    static_headroom: list | None = None  # per layer, fixed point only
+    python: str = field(default_factory=platform.python_version)
+    numpy: str = np.__version__
+    cpu_count: int | None = field(default_factory=os.cpu_count)
 
 
 def _sha256_file(path) -> str:
@@ -91,6 +99,7 @@ def _cmd_generate(args) -> int:
         layer_params=layer_params,
         config_digest=config_digest(cfg),
         weights_sha256=_sha256_file(args.weights),
+        static_headroom=static_headroom(cfg, ws, mode) if isinstance(mode, FixedMode) else None,
     )
     if args.report:
         with open(args.report, "w") as fh:

@@ -11,12 +11,23 @@ model and the run report.  The order is part of the contract
 in real or fixed-point mode, regardless of how the work is batched.
 
 ``matvec_cols`` is the one evaluation path; ``matvec`` is its one-column
-case.  Products are laid out lane-major, ``(chunks, p_in, rows, columns)``;
-the mode's ``fold`` runs every accumulator's sequential MAC chain at once
-along the chunk axis, and ``_tree_reduce`` combines the lane partials.  Each
-column sees exactly the arithmetic ``matvec`` would apply to it (elementwise
-IEEE ops are deterministic per element), so batching never changes a result;
-it only amortizes call overhead.
+case.  W is a plain (M, N) array, lowered on every call, or a matrix lowered
+once (``_Session`` keeps one per kernel and for the FC weight): the native
+weights dealt lane-major, ``(chunks, p_in, rows)``, plus the mode's static
+facts about them.  Both forms run the same kernel.  Products are laid out
+``(chunks, p_in, rows, columns)``; the mode's ``mac`` multiplies and runs
+every accumulator's sequential MAC chain at once along the chunk axis, and
+``_tree_reduce`` combines the lane partials.  Each column sees exactly the
+arithmetic ``matvec`` would apply to it (elementwise IEEE ops are
+deterministic per element), so batching never changes a result; it only
+amortizes call overhead.
+
+In fixed point the static facts are S_max, the largest row sum of |W_raw|,
+and w_max, the largest |W_raw|.  With m the largest |x_raw| of a call, no
+rounded product, fold partial or tree partial exceeds
+``(S_max·m >> f) + N``; when that fits the format the row sums are exact and
+need no clip.  Otherwise the clipped fold runs (``FixedMode.mac``).  Raws
+outside the format range are refused: weights when lowered, inputs per call.
 
 ``estimate_cycles`` is the analytic cost model for the same datapath: one
 cycle per MAC round per accumulator, plus tree depth, plus one accumulate,
@@ -121,35 +132,64 @@ def _deal(a, p_in):
     return a.reshape((chunks, p_in) + a.shape[1:])
 
 
+@dataclass(frozen=True)
+class _Lowered:
+    """An (M, N) weight matrix lowered once for one mode and lane count.
+
+    ``wd`` holds the native weights dealt lane-major, (chunks, p_in, M);
+    ``facts`` are the mode's static facts about them (``mode.matrix_facts``).
+    """
+
+    wd: np.ndarray
+    shape: tuple
+    mode: object
+    facts: object
+
+
+def _lower(W, p_in, mode):
+    """Lower an (M, N) matrix for ``mode`` on ``p_in`` lanes.
+
+    The engine reads W input-major: a W whose transpose is C-contiguous
+    (``W.T`` of an (N, M) array) is dealt without a copy when p_in divides N.
+    """
+    W = _as_native(W, mode)
+    if W.ndim != 2 or W.shape[1] == 0:
+        raise ShapeMismatchError(f"matvec weight shape {W.shape}")
+    _check_lanes(p_in)
+    wd = _deal(np.ascontiguousarray(W.T), p_in)
+    return _Lowered(wd, W.shape, mode, mode.matrix_facts(wd))
+
+
 def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
     """Apply the engine matvec to every column of ``X``.
 
-    W is (M, N), X is (N, T); returns (M, T).  Column t of the result is
-    bit-identical to ``matvec(W, X[:, t], ...)``.  The engine reads W
-    input-major: a W whose transpose is C-contiguous (``W.T`` of a lowered
-    (N, M) array) is used in place, any other W is copied once per call.
+    W is (M, N), plain or lowered for this mode and ``p``'s lane count; X is
+    (N, T); returns (M, T).  Column t of the result is bit-identical to
+    ``matvec(W, X[:, t], ...)``.  A plain W is lowered on every call, and is
+    copied when its transpose is not C-contiguous.
     """
-    W = _as_native(W, mode)
+    p_in = p.num_parallel_in
+    if not isinstance(W, _Lowered):
+        W = _lower(W, p_in, mode)
+    elif W.mode != mode or W.wd.shape[1] != p_in:
+        raise ValueError(
+            f"matrix lowered for {W.mode} on {W.wd.shape[1]} lanes, used in {mode} on {p_in}"
+        )
     X = _as_native(X, mode)
-    if W.ndim != 2 or X.ndim != 2 or W.shape[1] != X.shape[0] or X.shape[0] == 0:
-        raise ShapeMismatchError(f"matvec shapes {W.shape} vs {X.shape}")
     M, N = W.shape
-    T = X.shape[1]
+    if X.ndim != 2 or X.shape[0] != N:
+        raise ShapeMismatchError(f"matvec shapes {W.shape} vs {X.shape}")
     if bias is not None:
         bias = _as_native(bias, mode)
         if bias.shape != (M,):
             raise ShapeMismatchError(f"bias shape {bias.shape}, expected ({M},)")
-    p_in = p.num_parallel_in
-    _check_lanes(p_in)
     if stats is not None:
-        stats.record(M, N, T)
+        stats.record(M, N, X.shape[1])
     # products[k, l, r, t] = W[r, k*p_in + l] * X[k*p_in + l, t]; rows and
     # columns are independent lanes, so evaluating them together keeps each
     # column's declared MAC/tree order exactly.  Both operands are
     # contiguous, which keeps the product contiguous for the fold.
-    Wt = _deal(np.ascontiguousarray(W.T), p_in)
-    Xd = _deal(np.ascontiguousarray(X), p_in)
-    out = _tree_reduce(mode.fold(mode.mul(Wt[..., None], Xd[:, :, None, :])), mode)
+    out = _tree_reduce(mode.mac(W, _deal(np.ascontiguousarray(X), p_in)), mode)
     if bias is not None:
         out = mode.add(out, bias[:, None])
     return out

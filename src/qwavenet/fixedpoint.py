@@ -133,32 +133,51 @@ def add_raw(a, b, fmt: FxFormat):
 def mul_raw(a, b, fmt: FxFormat):
     """Saturating multiply of raw arrays.
 
-    Full int64 product, arithmetic shift by ``frac_bits`` with round to
-    nearest ties away from zero, then clip.  Rounding uses the branch-free
-    two's-complement identity: adding half-1 instead of half before the
-    arithmetic shift when the product is negative (p >> 63 is -1 exactly
-    then) lands on round-half-away for both signs.
-
-    The clip is skipped when the operands' largest magnitudes show that no
-    rounded product can leave the format range; it would change nothing.
+    Raws outside the format range are refused.  Full int64 product, then
+    ``_mul_round``, then clip.  The clip is skipped when the operands'
+    largest magnitudes show that no rounded product can leave the format
+    range; it would change nothing.
     """
     _check_vector_format(fmt)
     a = np.asarray(a, np.int64)
     b = np.asarray(b, np.int64)
+    fit = _products_fit(_max_abs(a, fmt), _max_abs(b, fmt), fmt)
+    p = _mul_round(a, b, fmt.frac_bits)
+    return p if fit else _saturate_inplace(p, fmt)
+
+
+def _mul_round(a, b, f: int):
+    """int64 product shifted right by ``f``, rounded half away from zero; no clip.
+
+    Rounding uses the branch-free two's-complement identity: adding half-1
+    instead of half before the arithmetic shift when the product is negative
+    (p >> 63 is -1 exactly then) lands on round-half-away for both signs.
+    """
     p = a * b
-    f = fmt.frac_bits
     if f:
         offset = p >> 63
         offset += 1 << (f - 1)
         p += offset
         p >>= f
-    if (_max_abs(a) * _max_abs(b) + ((1 << f) >> 1)) >> f <= fmt.raw_max:
-        return p
-    return _saturate_inplace(p, fmt)
+    return p
 
 
-def _max_abs(arr) -> int:
-    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+def _products_fit(a_max: int, b_max: int, fmt: FxFormat) -> bool:
+    """Whether every rounded product of magnitudes up to a_max, b_max is in range."""
+    f = fmt.frac_bits
+    return (a_max * b_max + ((1 << f) >> 1)) >> f <= fmt.raw_max
+
+
+def _max_abs(arr, fmt: FxFormat) -> int:
+    """Largest |raw| of an int64 array; a raw outside the format range is refused,
+    as ``FxValue`` refuses it, since its products could wrap int64."""
+    hi, lo = int(arr.max(initial=0)), int(arr.min(initial=0))
+    if hi > fmt.raw_max or lo < fmt.raw_min:
+        raise ValueError(
+            f"raw {hi if hi > fmt.raw_max else lo} out of range for {fmt} "
+            f"[{fmt.raw_min}, {fmt.raw_max}]"
+        )
+    return max(hi, -lo)
 
 
 def tanh_raw(a, fmt: FxFormat):

@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .engine import DEFAULT_PARALLELISM, ParallelismParams, matvec
+from .engine import DEFAULT_PARALLELISM, ParallelismParams, _lower, matvec
 from .fixedpoint import _round_half_away_f64
 from .model import ModelConfig, validate_config
 from .numerics import RealMode
@@ -127,10 +127,11 @@ class _Session:
     kernels and FC weight, fresh layer queues in sweep order, and an empty
     input history for the full-history backend.
 
-    Each (out, in) matrix is lowered once into input-major storage and kept
-    as the (out, in) view of it, whose transpose is the contiguous layout the
-    engine reads; no matvec copies a weight.  Layers run at
-    ``default_layer_params``, the FC layer at ``DEFAULT_PARALLELISM``.
+    Each (out, in) matrix is lowered once, input-major and dealt onto the
+    lanes of the layer that reads it, with the mode's static facts (the
+    engine's lowered-matrix record); no matvec copies a weight or rescans
+    it.  Layers run at ``default_layer_params``, the FC layer at
+    ``DEFAULT_PARALLELISM``.
     """
 
     def __init__(self, cfg: ModelConfig, ws: WeightSet, mode):
@@ -140,11 +141,13 @@ class _Session:
         self.specs = validate_config(cfg)
         self.params = default_layer_params(self.specs)
 
-        def lower(w):
-            return mode.from_real(np.ascontiguousarray(w.T)).T
+        def lower(w, p):
+            return _lower(mode.from_real(np.ascontiguousarray(w.T)).T, p.num_parallel_in, mode)
 
-        self.kernels = [(lower(k0), lower(k1)) for k0, k1 in ws.kernels]
-        self.fc_wt = lower(ws.fc_weight.T)
+        self.kernels = [
+            (lower(k0, p), lower(k1, p)) for (k0, k1), p in zip(ws.kernels, self.params)
+        ]
+        self.fc_wt = lower(ws.fc_weight.T, DEFAULT_PARALLELISM)
         self.fc_b = mode.from_real(ws.fc_bias)
         self.layers = [LayerState.fresh(spec, dtype=mode.dtype) for spec in self.specs]
         self.history = mode.zeros((0, 1))
@@ -256,6 +259,18 @@ def generate_naive(
     with the time index.  Output contract matches ``generate`` exactly.
     """
     return _generate(_Session.forward_naive, cfg, ws, seed_samples, n, mode, stats, logit_sink)
+
+
+def static_headroom(cfg: ModelConfig, ws: WeightSet, mode) -> list[float]:
+    """Per layer, in sweep order, for a fixed-point ``mode``: the larger
+    ``FixedMode.row_bound`` of its two kernels at inputs |x| <= 1, as a share
+    of raw_max, read from the facts a session caches when it lowers them.
+    Below 1, no matvec of the layer can saturate on inputs in [-1, 1]."""
+    fmt = mode.fmt
+    return [
+        max(mode.row_bound(k, 1 << fmt.frac_bits) for k in pair) / fmt.raw_max
+        for pair in _Session(cfg, ws, mode).kernels
+    ]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ A mode owns the array representation.  ``RealMode`` stores float64 values
 directly; ``FixedMode`` stores int64 raws for its :class:`~.fixedpoint.FxFormat`
 and routes arithmetic through the saturating helpers.  ``from_real`` /
 ``to_real`` convert at the boundary; everything in between stays in the
-mode's native representation.  ``fold`` is the mode's half of the engine
-datapath: the sequential accumulation of lane-major products, whose
-partials the engine's reduction tree then combines.
+mode's native representation.  ``matrix_facts`` and ``mac`` are the mode's
+half of the engine datapath: the static facts kept with a lowered weight
+matrix, and the multiply plus sequential accumulation (``fold``) of
+lane-major products, whose partials the engine's reduction tree then
+combines.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ from .fixedpoint import (
     FX27_8,
     FxFormat,
     _check_vector_format,
+    _max_abs,
+    _mul_round,
+    _products_fit,
+    _saturate_inplace,
     add_raw,
-    mul_raw,
     quantize_real,
     raw_to_real,
     tanh_raw,
@@ -49,11 +54,16 @@ class RealMode:
     def add(self, a, b):
         return a + b
 
-    def mul(self, a, b):
-        return a * b
-
     def tanh(self, x):
         return np.tanh(x)
+
+    def matrix_facts(self, wd):
+        """Real arithmetic needs no static facts about a matrix."""
+        return None
+
+    def mac(self, w, xd):
+        """Products of a lowered matrix and dealt columns, folded over chunks."""
+        return self.fold(w.wd[..., None] * xd[:, :, None, :])
 
     def fold(self, products):
         """Sequential left-fold of axis 0; the partials keep the remaining axes.
@@ -100,22 +110,54 @@ class FixedMode:
     def add(self, a, b):
         return add_raw(a, b, self.fmt)
 
-    def mul(self, a, b):
-        return mul_raw(a, b, self.fmt)
-
     def tanh(self, x):
         return tanh_raw(x, self.fmt)
+
+    def matrix_facts(self, wd):
+        """(S_max, w_max) of dealt weight raws: the largest row sum of |W_raw|
+        and the largest |W_raw|, as Python ints.  Raws outside the format
+        range are refused."""
+        w_max = _max_abs(wd, self.fmt)
+        return int(np.abs(wd).sum(axis=(0, 1)).max(initial=0)), w_max
+
+    def row_bound(self, w, m: int) -> int:
+        """(S_max·m >> f) + N: with inputs |x_raw| <= m, no rounded product,
+        fold partial or tree partial of any row of lowered matrix ``w``
+        exceeds it in magnitude.  Python ints, as S_max·m can pass 2**63."""
+        return (w.facts[0] * m >> self.fmt.frac_bits) + w.shape[1]
+
+    def mac(self, w, xd):
+        """Multiply, round and fold a lowered matrix with dealt columns.
+
+        Each rounded product of a row is at most |W_raw|·m/2^f + 1/2, so any
+        partial sum of them is at most S_max·m/2^f + N/2, which ``row_bound``
+        covers.  When the bound fits the format, nothing saturates and the
+        exact row sum, in any order, is the result: it comes back as one
+        partial with no clip and no run-time check.  Otherwise the product
+        is clipped only when w_max·m shows that a rounded product can leave
+        the range, and ``fold`` runs.  Input raws outside the format range
+        are refused.
+        """
+        fmt = self.fmt
+        m = _max_abs(xd, fmt)
+        products = _mul_round(w.wd[..., None], xd[:, :, None, :], fmt.frac_bits)
+        if self.row_bound(w, m) <= fmt.raw_max:
+            return products.sum(axis=(0, 1))[None]
+        if not _products_fit(w.facts[1], m, fmt):
+            _saturate_inplace(products, fmt)
+        return self.fold(products)
 
     def fold(self, products):
         """Sequential saturating left-fold of axis 0 of (chunks, p_in, ...).
 
-        Shortcut: every intermediate of the fold and of the reduction tree
-        after it is a sum of some of a row's products, so its magnitude is
-        bounded by the row's sum of absolute products.  When that bound stays
-        inside the format range for every row, nothing can saturate, every
-        add is exact, and the whole row sum, taken in any order, is the
-        result: it comes back as a single partial.  Products are saturated to
-        at most 32 bits, so int64 sums of them cannot overflow.
+        ``mac`` calls it when the static row bound does not fit the format.
+        Run-time shortcut: every intermediate of the fold and of the
+        reduction tree after it is a sum of some of a row's products, so its
+        magnitude is bounded by the row's sum of absolute products.  When
+        that sum stays inside the format range for every row, nothing can
+        saturate and the whole row sum comes back as a single partial.
+        Products are saturated to at most 32 bits, so int64 sums of them
+        cannot overflow.
         """
         fmt = self.fmt
         if np.abs(products).sum(axis=(0, 1)).max(initial=0) <= fmt.raw_max:

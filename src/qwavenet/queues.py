@@ -85,7 +85,8 @@ def dilated_conv_step(
     """One layer, one time step, via the queue.
 
     Computes tanh(k0 × (queue front) + k1 × prev_out), then pushes prev_out
-    so it surfaces again ``dilation`` steps later.
+    so it surfaces again ``dilation`` steps later.  k0 and k1 are (out, in)
+    matrices, plain arrays or lowered by the engine for ``mode`` and ``p``.
     """
     delayed = matvec(k0, state.queue.front(), p=p, mode=mode, stats=stats)
     current = matvec(k1, prev_out, p=p, mode=mode, stats=stats)

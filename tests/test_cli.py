@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -51,6 +53,26 @@ def test_generate_writes_wav_and_report(model_files, tmp_path, capsys):
     assert len(data["weights_sha256"]) == 64
     # the single-channel input layer runs scalar, every other layer at (8, 4)
     assert data["layer_params"] == [[1, 1]] + [[8, 4]] * (TINY.total_layers - 1)
+    assert data["python"] == platform.python_version()
+    assert data["numpy"] == np.__version__
+    assert data["cpu_count"] == os.cpu_count()
+    assert data["static_headroom"] is None
+
+    rc = run_cli(
+        [
+            "generate",
+            "--config", str(cfg_path),
+            "--weights", str(w_path),
+            "--seconds", "0.1",
+            "--mode", "fixed<27,8>",
+            "--out", str(out),
+            "--report", str(report),
+        ]
+    )
+    assert rc == 0
+    headroom = json.loads(report.read_text())["static_headroom"]
+    assert len(headroom) == TINY.total_layers
+    assert all(0 < h < 1 for h in headroom)
 
 
 def test_generate_is_reproducible(model_files, tmp_path):

@@ -32,7 +32,9 @@ from qwavenet import (
     fx_mul,
     matvec,
     matvec_cols,
+    mul_raw,
 )
+from qwavenet.engine import _lower
 
 P_COMBOS = [
     ParallelismParams(po, pi) for po in (1, 2, 4, 8) for pi in (1, 2, 4, 8)
@@ -280,6 +282,108 @@ def test_matvec_rejects_bad_shapes():
 def test_matvec_fixed_rejects_float_input():
     with pytest.raises(TypeError):
         matvec(np.ones((2, 2)), np.ones(2), mode=FixedMode())
+
+
+def test_matvec_fixed_refuses_raws_outside_the_format():
+    """The int64 product 2**80 wraps to 0 and the clip would hide it; the
+    scalar ``FxValue`` oracle refuses such raws, and so does the engine."""
+    m = FixedMode()
+    lo, hi = FX27_8.raw_min, FX27_8.raw_max
+    with pytest.raises(ValueError):
+        matvec(np.array([[2**40]]), np.array([2**40]), mode=m)
+    with pytest.raises(ValueError):
+        matvec(np.array([[1, 1]]), np.array([1, hi + 1]), mode=m)
+    with pytest.raises(ValueError):
+        matvec_cols(np.array([[1]]), np.array([[1, lo - 1]]), mode=m)
+    with pytest.raises(ValueError):
+        _lower(np.array([[lo - 1]]), 1, m)
+    lowered = _lower(np.array([[hi, lo]]), 1, m)
+    with pytest.raises(ValueError):
+        matvec(lowered, np.array([1, hi + 1]), p=ParallelismParams(1, 1), mode=m)
+    with pytest.raises(ValueError):
+        mul_raw(np.array([2**40]), np.array([1]), FX27_8)
+    # the format's own extremes are in range
+    assert matvec(lowered, np.array([lo, hi]), p=ParallelismParams(1, 1), mode=m).tolist() == [lo]
+
+
+def test_lowered_matrix_refuses_another_mode_or_lane_count():
+    W = np.ones((2, 8))
+    lowered = _lower(W, 4, RealMode())
+    assert matvec(lowered, np.ones(8)).tolist() == [8.0, 8.0]
+    with pytest.raises(ValueError):
+        matvec(lowered, np.ones(8), p=ParallelismParams(8, 2))
+    with pytest.raises(ValueError):
+        matvec(lowered, np.ones(8, dtype=np.int64), mode=FixedMode())
+    with pytest.raises(ValueError):
+        matvec(_lower(W.astype(np.int64), 4, FixedMode(FX16_3)), np.ones(8, np.int64), mode=FixedMode())
+
+
+def rows_with_abs_sums(rng, sums, n, cap):
+    """One row of ``n`` random-signed raws per entry of ``sums``, whose
+    magnitudes add up to it, each at most ``cap``."""
+    rows = []
+    for s in sums:
+        w = np.full(n, s // n)
+        w[: s % n] += 1
+        for _ in range(2 * n):  # moves between entries keep the sum
+            i, j = rng.integers(n, size=2)
+            d = int(rng.integers(0, min(w[i], cap - w[j]) + 1))
+            w[i] -= d
+            w[j] += d
+        rows.append(w * rng.choice([-1, 1], n))
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([FX27_8, FX16_3]),
+    st.integers(1, 5),
+    st.integers(8, 40),
+    st.integers(0, 3),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([1, 3]),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@example(fmt=FX16_3, M=3, N=8, p_pow=0, step=1, over=3, aligned=True, seed=0)
+def test_static_bound_edges_match_scalar_oracle(fmt, M, N, p_pow, step, over, aligned, seed):
+    """Inputs scaled so the static row bound (S_max·m >> f) + N lands one step
+    inside raw_max, on it, one step outside it, or at three times it.  At
+    three times, hot rows that reach S_max meet an input aligned with their
+    signs and saturate, while cold rows with a quarter of S_max do not.
+    Plain, input-major and lowered W must all match the ``FxValue`` oracle."""
+    rng = np.random.default_rng(seed)
+    f = fmt.frac_bits
+    m = int(rng.integers(1 << (f - 1), (1 << f) + 1))  # largest |x_raw|, tanh range
+    target = over * (fmt.raw_max + step)
+    s_max = -(-((target - N) << f) // m)  # the least S_max whose bound is target
+    cold = s_max // 4 if over > 1 else s_max
+    sums = [s_max] + [int(v) for v in rng.integers(0, cold + 1, M - 1)]
+    W = rows_with_abs_sums(rng, rng.permutation(sums), N, fmt.raw_max)
+    hot = int(np.argmax(np.abs(W).sum(axis=1)))
+    if aligned:
+        x = np.where(W[hot] < 0, -m, m)
+    else:
+        x = rng.integers(-m, m + 1, N)
+        x[rng.integers(N)] = m * rng.choice([-1, 1])
+    p = ParallelismParams(1, 2**p_pow)
+    mode = FixedMode(fmt)
+    lowered = _lower(W, p.num_parallel_in, mode)
+    assert mode.row_bound(lowered, m) == target
+
+    add, mul, zero = fixed_ops(fmt)
+    want = scalar_matvec(W.tolist(), x.tolist(), None, p, add, mul, zero)
+    if over > 1 and aligned:
+        exact = [sum(mul(w, v) for w, v in zip(row, x.tolist())) for row in W.tolist()]
+        assert abs(exact[hot]) > fmt.raw_max
+        assert all(abs(e) <= fmt.raw_max for r, e in enumerate(exact) if r != hot)
+    assert matvec(W, x, p=p, mode=mode).tolist() == want
+    assert matvec(input_major(W), x, p=p, mode=mode).tolist() == want
+    assert matvec(lowered, x, p=p, mode=mode).tolist() == want
+    X = np.stack([x, -x, x // 3], axis=1)
+    cols = matvec_cols(lowered, X, p=p, mode=mode)
+    assert np.array_equal(cols, matvec_cols(W, X, p=p, mode=mode))
+    assert cols[:, 0].tolist() == want
 
 
 # ---------------------------------------------------------------------------
