@@ -25,9 +25,10 @@ amortizes call overhead.
 In fixed point the static facts are S_max, the largest row sum of |W_raw|,
 and w_max, the largest |W_raw|.  With m the largest |x_raw| of a call, no
 rounded product, fold partial or tree partial exceeds
-``(S_max·m >> f) + N``; when that fits the format the row sums are exact and
-need no clip.  Otherwise the clipped fold runs (``FixedMode.mac``).  Raws
-outside the format range are refused: weights when lowered, inputs per call.
+``(S_max·m >> f) + N``.  That bound alone decides each call's path in
+``FixedMode.mac``: when it fits the format the row sums are exact and need
+no clip; otherwise the clipped fold runs.  Raws outside the format range are
+refused: weights when lowered, inputs and bias per call.
 
 ``estimate_cycles`` is the analytic cost model for the same datapath: one
 cycle per MAC round per accumulator, plus tree depth, plus one accumulate,
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fixedpoint import _max_abs
 from .numerics import RealMode
 
 _REAL = RealMode()
@@ -183,6 +185,8 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
         bias = _as_native(bias, mode)
         if bias.shape != (M,):
             raise ShapeMismatchError(f"bias shape {bias.shape}, expected ({M},)")
+        if mode.dtype == np.int64:
+            _max_abs(bias, mode.fmt)  # add_raw's int64 add would wrap a raw outside the format
     if stats is not None:
         stats.record(M, N, X.shape[1])
     # products[k, l, r, t] = W[r, k*p_in + l] * X[k*p_in + l, t]; rows and

@@ -134,16 +134,14 @@ def mul_raw(a, b, fmt: FxFormat):
     """Saturating multiply of raw arrays.
 
     Raws outside the format range are refused.  Full int64 product, then
-    ``_mul_round``, then clip.  The clip is skipped when the operands'
-    largest magnitudes show that no rounded product can leave the format
-    range; it would change nothing.
+    ``_mul_round``, then clip.
     """
     _check_vector_format(fmt)
     a = np.asarray(a, np.int64)
     b = np.asarray(b, np.int64)
-    fit = _products_fit(_max_abs(a, fmt), _max_abs(b, fmt), fmt)
-    p = _mul_round(a, b, fmt.frac_bits)
-    return p if fit else _saturate_inplace(p, fmt)
+    _max_abs(a, fmt)
+    _max_abs(b, fmt)
+    return _saturate_inplace(_mul_round(a, b, fmt.frac_bits), fmt)
 
 
 def _mul_round(a, b, f: int):

@@ -142,7 +142,7 @@ class _Session:
         self.params = default_layer_params(self.specs)
 
         def lower(w, p):
-            return _lower(mode.from_real(np.ascontiguousarray(w.T)).T, p.num_parallel_in, mode)
+            return _lower(mode.from_real(w), p.num_parallel_in, mode)
 
         self.kernels = [
             (lower(k0, p), lower(k1, p)) for (k0, k1), p in zip(ws.kernels, self.params)

@@ -8,9 +8,8 @@ and routes arithmetic through the saturating helpers.  ``from_real`` /
 ``to_real`` convert at the boundary; everything in between stays in the
 mode's native representation.  ``matrix_facts`` and ``mac`` are the mode's
 half of the engine datapath: the static facts kept with a lowered weight
-matrix, and the multiply plus sequential accumulation (``fold``) of
-lane-major products, whose partials the engine's reduction tree then
-combines.
+matrix, and the multiply plus sequential accumulation of lane-major
+products, whose partials the engine's reduction tree then combines.
 """
 
 from __future__ import annotations
@@ -62,11 +61,8 @@ class RealMode:
         return None
 
     def mac(self, w, xd):
-        """Products of a lowered matrix and dealt columns, folded over chunks."""
-        return self.fold(w.wd[..., None] * xd[:, :, None, :])
-
-    def fold(self, products):
-        """Sequential left-fold of axis 0; the partials keep the remaining axes.
+        """Products of a lowered matrix and dealt columns, left-folded over the
+        chunk axis; the partials keep the (p_in, rows, columns) axes.
 
         ``np.add.reduce`` over a leading axis adds slab by slab, the in-order
         recurrence, while a slab holds more than one element.  A reduction
@@ -74,6 +70,7 @@ class RealMode:
         so that case takes ``np.add.accumulate``, which is defined as the
         in-order recurrence.
         """
+        products = w.wd[..., None] * xd[:, :, None, :]
         if products[0].size == 1:
             return np.add.accumulate(products, axis=0)[-1]
         return np.add.reduce(products, axis=0)
@@ -133,40 +130,25 @@ class FixedMode:
         partial sum of them is at most S_max·m/2^f + N/2, which ``row_bound``
         covers.  When the bound fits the format, nothing saturates and the
         exact row sum, in any order, is the result: it comes back as one
-        partial with no clip and no run-time check.  Otherwise the product
-        is clipped only when w_max·m shows that a rounded product can leave
-        the range, and ``fold`` runs.  Input raws outside the format range
-        are refused.
+        partial with no clip.  Otherwise the product is clipped only when
+        w_max·m shows that a rounded product can leave the range, and the
+        chunks are left-folded with a clip after every add.  Products are
+        then at most 32 bits, so no int64 sum of them overflows.  Input raws
+        outside the format range are refused.
         """
         fmt = self.fmt
+        raw_min, raw_max = fmt.raw_min, fmt.raw_max
         m = _max_abs(xd, fmt)
         products = _mul_round(w.wd[..., None], xd[:, :, None, :], fmt.frac_bits)
-        if self.row_bound(w, m) <= fmt.raw_max:
+        if self.row_bound(w, m) <= raw_max:
             return products.sum(axis=(0, 1))[None]
         if not _products_fit(w.facts[1], m, fmt):
             _saturate_inplace(products, fmt)
-        return self.fold(products)
-
-    def fold(self, products):
-        """Sequential saturating left-fold of axis 0 of (chunks, p_in, ...).
-
-        ``mac`` calls it when the static row bound does not fit the format.
-        Run-time shortcut: every intermediate of the fold and of the
-        reduction tree after it is a sum of some of a row's products, so its
-        magnitude is bounded by the row's sum of absolute products.  When
-        that sum stays inside the format range for every row, nothing can
-        saturate and the whole row sum comes back as a single partial.
-        Products are saturated to at most 32 bits, so int64 sums of them
-        cannot overflow.
-        """
-        fmt = self.fmt
-        if np.abs(products).sum(axis=(0, 1)).max(initial=0) <= fmt.raw_max:
-            return products.sum(axis=(0, 1))[None]
         acc = products[0].copy()
         for k in range(1, products.shape[0]):
             np.add(acc, products[k], out=acc)
-            np.minimum(acc, fmt.raw_max, out=acc)
-            np.maximum(acc, fmt.raw_min, out=acc)
+            np.minimum(acc, raw_max, out=acc)
+            np.maximum(acc, raw_min, out=acc)
         return acc
 
     def __str__(self) -> str:

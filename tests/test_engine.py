@@ -251,7 +251,8 @@ def test_matvec_real_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_b
 @example(M=1, N=9, p_pow=0, p_out=1, seed=0, with_bias=False, fmt=FX27_8, shrink=0)
 def test_matvec_fixed_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_bias, fmt, shrink):
     # raws span +-raw_max >> shrink: full range saturates products and sums
-    # often, mid ranges straddle the no-saturation shortcut, small ones take it
+    # often, mid ranges straddle the static row bound (S_max·m >> f) + N that
+    # picks the exact sum over the clipped fold, small ones fit inside it
     rng = np.random.default_rng(seed)
     hi = max(fmt.raw_max >> shrink, 1)
     W = rng.integers(-hi, hi + 1, (M, N))
@@ -302,8 +303,14 @@ def test_matvec_fixed_refuses_raws_outside_the_format():
         matvec(lowered, np.array([1, hi + 1]), p=ParallelismParams(1, 1), mode=m)
     with pytest.raises(ValueError):
         mul_raw(np.array([2**40]), np.array([1]), FX27_8)
+    # a bias raw outside the format would wrap in the int64 bias add
+    with pytest.raises(ValueError):
+        matvec(np.array([[2**19]]), np.array([2**19]), bias=np.array([2**63 - 1]), mode=m)
+    with pytest.raises(ValueError):
+        matvec_cols(np.array([[1]]), np.array([[1]]), bias=np.array([lo - 1]), mode=m)
     # the format's own extremes are in range
     assert matvec(lowered, np.array([lo, hi]), p=ParallelismParams(1, 1), mode=m).tolist() == [lo]
+    assert matvec(np.array([[1]]), np.array([1]), bias=np.array([hi]), mode=m).tolist() == [hi]
 
 
 def test_lowered_matrix_refuses_another_mode_or_lane_count():
@@ -346,11 +353,16 @@ def rows_with_abs_sums(rng, sums, n, cap):
     st.integers(0, 10_000),
 )
 @example(fmt=FX16_3, M=3, N=8, p_pow=0, step=1, over=3, aligned=True, seed=0)
+@example(fmt=FX16_3, M=3, N=8, p_pow=2, step=1, over=1, aligned=False, seed=0)
+@example(fmt=FX27_8, M=3, N=8, p_pow=2, step=1, over=1, aligned=False, seed=0)
 def test_static_bound_edges_match_scalar_oracle(fmt, M, N, p_pow, step, over, aligned, seed):
     """Inputs scaled so the static row bound (S_max·m >> f) + N lands one step
     inside raw_max, on it, one step outside it, or at three times it.  At
     three times, hot rows that reach S_max meet an input aligned with their
-    signs and saturate, while cold rows with a quarter of S_max do not.
+    signs and saturate, while cold rows with a quarter of S_max do not.  One
+    step outside, every row's sum of |rounded products| still fits raw_max
+    (each is at most |W_raw|·m/2^f + 1/2, and N >= 2), yet the bound sends
+    the matvec through the clipped fold and the tree.
     Plain, input-major and lowered W must all match the ``FxValue`` oracle."""
     rng = np.random.default_rng(seed)
     f = fmt.frac_bits
@@ -373,8 +385,11 @@ def test_static_bound_edges_match_scalar_oracle(fmt, M, N, p_pow, step, over, al
 
     add, mul, zero = fixed_ops(fmt)
     want = scalar_matvec(W.tolist(), x.tolist(), None, p, add, mul, zero)
+    products = [[mul(w, v) for w, v in zip(row, x.tolist())] for row in W.tolist()]
+    if over == 1:
+        assert all(sum(map(abs, row)) <= fmt.raw_max for row in products)
     if over > 1 and aligned:
-        exact = [sum(mul(w, v) for w, v in zip(row, x.tolist())) for row in W.tolist()]
+        exact = [sum(row) for row in products]
         assert abs(exact[hot]) > fmt.raw_max
         assert all(abs(e) <= fmt.raw_max for r, e in enumerate(exact) if r != hot)
     assert matvec(W, x, p=p, mode=mode).tolist() == want
