@@ -23,15 +23,12 @@ from .fixedpoint import (
     FormatMismatchError,
     FxFormat,
     FxValue,
-    add_raw,
     fx_add,
     fx_mul,
     fx_tanh,
     mul_raw,
     parse_format,
     quantize_real,
-    raw_to_real,
-    tanh_raw,
     to_fixed,
     to_real,
 )

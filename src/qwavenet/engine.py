@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import _max_abs
+from .fixedpoint import _as_raws, _max_abs
 from .numerics import RealMode
 
 _REAL = RealMode()
@@ -95,20 +95,12 @@ class CostEstimate:
 
 
 def _as_native(arr, mode):
-    """Coerce to the mode's array representation.
-
-    Fixed-point arrays are integer raws; handing real-valued floats to a
-    fixed-mode op would truncate them silently, so that is rejected — convert
-    with ``mode.from_real`` first.
-    """
-    a = np.asarray(arr)
-    if a.dtype == mode.dtype:
-        return a
-    if mode.dtype == np.int64 and np.issubdtype(a.dtype, np.floating):
-        raise TypeError(
-            "fixed-point ops take raw integer arrays; use mode.from_real for real values"
-        )
-    return a.astype(mode.dtype)
+    """Coerce to the mode's array representation: float64 values, or int64
+    raws under ``fixedpoint._as_raws``'s rule, which refuses floats and
+    integers that int64 cannot hold."""
+    if mode.dtype == np.int64:
+        return _as_raws(arr)
+    return np.asarray(arr, dtype=np.float64)
 
 
 def _tree_reduce(arr, mode):
@@ -186,7 +178,7 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
         if bias.shape != (M,):
             raise ShapeMismatchError(f"bias shape {bias.shape}, expected ({M},)")
         if mode.dtype == np.int64:
-            _max_abs(bias, mode.fmt)  # add_raw's int64 add would wrap a raw outside the format
+            _max_abs(bias, mode.fmt)  # mode.add's int64 add would wrap a raw outside the format
     if stats is not None:
         stats.record(M, N, X.shape[1])
     # products[k, l, r, t] = W[r, k*p_in + l] * X[k*p_in + l, t]; rows and
@@ -201,7 +193,7 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
 
 def matvec(W, x, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
     """Engine matvec: W (M, N) times x (N,), plus optional bias."""
-    x = _as_native(x, mode)
+    x = np.asarray(x)
     if x.ndim != 1:
         raise ShapeMismatchError(f"expected 1-D input vector, got shape {x.shape}")
     return matvec_cols(W, x[:, None], bias, p, mode, stats)[:, 0]

@@ -9,10 +9,11 @@ Numeric rules, chosen once and applied everywhere:
 * tanh is evaluated in double precision on the real value and requantized.
 
 Scalar operations (:class:`FxValue`, ``fx_*``) use Python integers and are
-exact for any supported width.  The ``*_raw`` array helpers operate on int64
-raw arrays and are limited to ``total_bits <= 32`` so products fit in 64 bits;
-that covers the default ``fixed<27,8>`` and everything the inference engine
-uses.
+exact for any supported width.  The array operations (``quantize_real``,
+``mul_raw`` and the helpers ``numerics.FixedMode`` is built from) work on
+int64 raw arrays and are limited to ``total_bits <= 32`` so products fit in
+64 bits; that covers the default ``fixed<27,8>`` and everything the inference
+engine uses.
 """
 
 from __future__ import annotations
@@ -85,6 +86,20 @@ def _check_vector_format(fmt: FxFormat) -> None:
         )
 
 
+def _as_raws(arr):
+    """Coerce to int64 raws without changing a value: floats, which the cast
+    would truncate, and unsigned values past int64, which it would wrap into
+    the format's range, are refused.  Convert real values with ``from_real``."""
+    a = np.asarray(arr)
+    if a.dtype == np.int64:
+        return a
+    if np.issubdtype(a.dtype, np.floating):
+        raise TypeError("fixed-point ops take raw integer arrays; use from_real for real values")
+    if a.dtype.kind == "u" and int(a.max(initial=0)) > np.iinfo(np.int64).max:
+        raise ValueError(f"raw {int(a.max())} does not fit int64")
+    return a.astype(np.int64)
+
+
 def _round_half_away_f64(v):
     """Round a float64 array to integral values, ties away from zero.
 
@@ -113,32 +128,22 @@ def quantize_real(x, fmt: FxFormat):
     return _saturate_inplace(r.astype(np.int64), fmt)
 
 
-def raw_to_real(raw, fmt: FxFormat):
-    return np.asarray(raw, dtype=np.float64) / float(1 << fmt.frac_bits)
-
-
 def _saturate_inplace(arr, fmt: FxFormat):
     np.minimum(arr, fmt.raw_max, out=arr)
     np.maximum(arr, fmt.raw_min, out=arr)
     return arr
 
 
-def add_raw(a, b, fmt: FxFormat):
-    """Saturating add of raw arrays (exact integer add, then clip)."""
-    _check_vector_format(fmt)
-    s = np.asarray(a, np.int64) + np.asarray(b, np.int64)
-    return _saturate_inplace(s, fmt)
-
-
 def mul_raw(a, b, fmt: FxFormat):
     """Saturating multiply of raw arrays.
 
-    Raws outside the format range are refused.  Full int64 product, then
-    ``_mul_round``, then clip.
+    Operands follow the engine's rule (``_as_raws``): floats and raws outside
+    the format range are refused.  Full int64 product, then ``_mul_round``,
+    then clip.
     """
     _check_vector_format(fmt)
-    a = np.asarray(a, np.int64)
-    b = np.asarray(b, np.int64)
+    a = _as_raws(a)
+    b = _as_raws(b)
     _max_abs(a, fmt)
     _max_abs(b, fmt)
     return _saturate_inplace(_mul_round(a, b, fmt.frac_bits), fmt)
@@ -176,11 +181,6 @@ def _max_abs(arr, fmt: FxFormat) -> int:
             f"[{fmt.raw_min}, {fmt.raw_max}]"
         )
     return max(hi, -lo)
-
-
-def tanh_raw(a, fmt: FxFormat):
-    """tanh of raw arrays: double-precision tanh of the real value, requantized."""
-    return quantize_real(np.tanh(raw_to_real(a, fmt)), fmt)
 
 
 # ---------------------------------------------------------------------------

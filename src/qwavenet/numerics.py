@@ -4,12 +4,13 @@ handed.
 
 A mode owns the array representation.  ``RealMode`` stores float64 values
 directly; ``FixedMode`` stores int64 raws for its :class:`~.fixedpoint.FxFormat`
-and routes arithmetic through the saturating helpers.  ``from_real`` /
-``to_real`` convert at the boundary; everything in between stays in the
-mode's native representation.  ``matrix_facts`` and ``mac`` are the mode's
-half of the engine datapath: the static facts kept with a lowered weight
-matrix, and the multiply plus sequential accumulation of lane-major
-products, whose partials the engine's reduction tree then combines.
+and holds its own saturating add and tanh, built on ``fixedpoint``'s rounding
+and saturation helpers.  ``from_real`` / ``to_real`` convert at the boundary;
+everything in between stays in the mode's native representation.
+``matrix_facts`` and ``mac`` are the mode's half of the engine datapath: the
+static facts kept with a lowered weight matrix, and the multiply plus
+sequential accumulation of lane-major products, whose partials the engine's
+reduction tree then combines.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from .fixedpoint import (
     _max_abs,
     _mul_round,
     _products_fit,
+    _round_half_away_f64,
     _saturate_inplace,
-    add_raw,
     quantize_real,
-    raw_to_real,
-    tanh_raw,
     parse_format,
 )
 
@@ -99,16 +98,22 @@ class FixedMode:
         return quantize_real(x, self.fmt)
 
     def to_real(self, x):
-        return raw_to_real(x, self.fmt)
+        return np.divide(x, float(1 << self.fmt.frac_bits))
 
     def zeros(self, shape):
         return np.zeros(shape, dtype=np.int64)
 
     def add(self, a, b):
-        return add_raw(a, b, self.fmt)
+        """Saturating add of raws of the format (every engine and queue operand
+        is one): exact int64 add, then clip.  Float operands are refused."""
+        return _saturate_inplace(np.add(a, b, dtype=np.int64), self.fmt)
 
     def tanh(self, x):
-        return tanh_raw(x, self.fmt)
+        """Double-precision tanh of the real value, rounded half away and
+        saturated; |tanh| <= 1 needs no NaN test or clip before the cast."""
+        scale = float(1 << self.fmt.frac_bits)
+        r = _round_half_away_f64(np.tanh(x / scale) * scale)
+        return _saturate_inplace(r.astype(np.int64), self.fmt)
 
     def matrix_facts(self, wd):
         """(S_max, w_max) of dealt weight raws: the largest row sum of |W_raw|

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import DEFAULT_PARALLELISM, ShapeMismatchError, matvec, matvec_cols
+from .fixedpoint import _as_raws
 from .model import LayerSpec
 from .numerics import RealMode
 
@@ -57,10 +58,8 @@ class CyclicQueue:
             raise ShapeMismatchError(
                 f"pushed vector shape {v.shape}, expected ({self.channels},)"
             )
-        if np.issubdtype(self.storage.dtype, np.integer) and np.issubdtype(
-            v.dtype, np.floating
-        ):
-            raise TypeError("cannot push real values into a raw fixed-point queue")
+        if np.issubdtype(self.storage.dtype, np.integer):
+            v = _as_raws(v)  # refuses real values and raws int64 cannot hold
         self.storage[self.head] = v
         self.head = (self.head + 1) % self.length
 

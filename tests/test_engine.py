@@ -285,6 +285,17 @@ def test_matvec_fixed_rejects_float_input():
         matvec(np.ones((2, 2)), np.ones(2), mode=FixedMode())
 
 
+def test_matvec_fixed_refuses_integers_past_int64():
+    """2**64 - 1 as uint64 would cast to raw -1, inside the format."""
+    m = FixedMode()
+    for x in (np.array([2**64 - 1], np.uint64), [2**64 - 1]):
+        with pytest.raises(ValueError):
+            matvec(np.array([[1 << 19]]), x, mode=m)
+    with pytest.raises(ValueError):
+        matvec_cols(np.array([[2**64 - 1]], np.uint64), np.array([[1]]), mode=m)
+    assert matvec(np.array([[1 << 19]]), np.array([5], np.uint64), mode=m).tolist() == [5]
+
+
 def test_matvec_fixed_refuses_raws_outside_the_format():
     """The int64 product 2**80 wraps to 0 and the clip would hide it; the
     scalar ``FxValue`` oracle refuses such raws, and so does the engine."""

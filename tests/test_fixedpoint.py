@@ -20,7 +20,6 @@ from qwavenet import (
     FormatMismatchError,
     FxFormat,
     FxValue,
-    add_raw,
     fx_add,
     fx_mul,
     fx_tanh,
@@ -28,8 +27,6 @@ from qwavenet import (
     parse_format,
     parse_mode,
     quantize_real,
-    raw_to_real,
-    tanh_raw,
     to_fixed,
     to_real,
 )
@@ -269,7 +266,7 @@ def test_add_mul_raw_match_scalar(a_list, b_list):
     b = np.array(b_list[:n], dtype=np.int64)
     want_add = [fx_add(FxValue(int(x), FX27_8), FxValue(int(y), FX27_8)).raw for x, y in zip(a, b)]
     want_mul = [fx_mul(FxValue(int(x), FX27_8), FxValue(int(y), FX27_8)).raw for x, y in zip(a, b)]
-    assert np.array_equal(add_raw(a.copy(), b, FX27_8), np.array(want_add))
+    assert np.array_equal(FixedMode(FX27_8).add(a, b), np.array(want_add))
     assert np.array_equal(mul_raw(a, b, FX27_8), np.array(want_mul))
 
 
@@ -277,7 +274,7 @@ def test_add_mul_raw_match_scalar(a_list, b_list):
 @given(st.lists(raws(FX27_8), min_size=1, max_size=40))
 def test_tanh_raw_matches_scalar(a_list):
     a = np.array(a_list, dtype=np.int64)
-    got = tanh_raw(a, FX27_8)
+    got = FixedMode(FX27_8).tanh(a)
     want = [fx_tanh(FxValue(int(x), FX27_8)).raw for x in a]
     assert np.array_equal(got, np.array(want))
 
@@ -294,9 +291,38 @@ def test_mul_raw_narrow_format(a_list, b_list):
 
 def test_raw_to_real_scaling():
     raws_arr = np.array([0, 1, -1, 2**19, FX27_8.raw_max, FX27_8.raw_min])
-    out = raw_to_real(raws_arr, FX27_8)
+    out = FixedMode(FX27_8).to_real(raws_arr)
     assert out.dtype == np.float64
     assert np.array_equal(out, raws_arr / 2.0**19)
+
+
+EDGE_FORMATS = [FxFormat(8, 1), FMT8, FxFormat(6, 6), FxFormat(2, 1)]
+
+
+@pytest.mark.parametrize("fmt", EDGE_FORMATS, ids=str)
+def test_fixed_mode_tanh_and_add_match_scalar_on_every_raw(fmt):
+    """Every raw of formats with int_bits = 1 (tanh's +1 saturates) or f = 0."""
+    mode = FixedMode(fmt)
+    every = np.arange(fmt.raw_min, fmt.raw_max + 1, dtype=np.int64)
+    want_tanh = [fx_tanh(FxValue(int(x), fmt)).raw for x in every]
+    assert mode.tanh(every).tolist() == want_tanh
+    a, b = (g.ravel() for g in np.meshgrid(every, every))
+    want_add = [fx_add(FxValue(int(x), fmt), FxValue(int(y), fmt)).raw for x, y in zip(a, b)]
+    assert mode.add(a, b).tolist() == want_add
+
+
+def test_fixed_mode_add_refuses_float_operands():
+    with pytest.raises(TypeError):
+        FixedMode().add(np.array([1.7]), np.array([0]))
+
+
+def test_mul_raw_refuses_floats_and_raws_past_int64():
+    """The engine's operand rule: 1.7 would truncate to 1, 2**64 - 1 wrap to -1."""
+    with pytest.raises(TypeError):
+        mul_raw(np.array([1.7]), np.array([1 << 19]), FX27_8)
+    with pytest.raises(ValueError):
+        mul_raw(np.array([1 << 19]), np.array([2**64 - 1], np.uint64), FX27_8)
+    assert mul_raw(np.array([3], np.uint8), np.array([1 << 19]), FX27_8).tolist() == [3]
 
 
 def test_vector_ops_reject_wide_formats():

@@ -58,6 +58,15 @@ def test_queue_rejects_real_values_for_integer_storage():
     q.push(np.array([3], dtype=np.int64))
 
 
+def test_queue_refuses_integers_past_int64_for_integer_storage():
+    q = CyclicQueue(1, 1, dtype=np.int64)
+    with pytest.raises(ValueError):
+        q.push(np.array([2**64 - 1], np.uint64))
+    assert q.front().tolist() == [0]
+    q.push(np.array([7], np.uint64))
+    assert q.front().tolist() == [7]
+
+
 def test_queue_front_is_a_copy():
     q = CyclicQueue(1, 2)
     f = q.front()
