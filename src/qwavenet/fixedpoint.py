@@ -8,12 +8,10 @@ Numeric rules, chosen once and applied everywhere:
 * overflow saturates to the format bounds, never wraps;
 * tanh is evaluated in double precision on the real value and requantized.
 
-Scalar operations (:class:`FxValue`, ``fx_*``) use Python integers and are
-exact for any supported width.  The array operations (``quantize_real``,
-``mul_raw`` and the helpers ``numerics.FixedMode`` is built from) work on
-int64 raw arrays and are limited to ``total_bits <= 32`` so products fit in
-64 bits; that covers the default ``fixed<27,8>`` and everything the inference
-engine uses.
+A format is at most 32 bits wide, so int64 holds the product of any two
+raws.  Scalar operations (:class:`FxValue`, ``fx_*``) use Python integers and
+are exact; the array operations (``quantize_real``, ``mul_raw`` and the
+helpers ``numerics.FixedMode`` is built from) give the same bits on int64 raws.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 _FORMAT_RE = re.compile(r"^fixed<\s*(\d+)\s*,\s*(\d+)\s*>$")
-_VECTOR_MAX_TOTAL_BITS = 32
 
 
 class FormatMismatchError(ValueError):
@@ -34,14 +31,16 @@ class FormatMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class FxFormat:
-    """Bit layout: ``total_bits`` overall, ``int_bits`` integer incl. sign."""
+    """Bit layout: ``total_bits`` (int, 2 to 32) overall, ``int_bits`` integer incl. sign."""
 
     total_bits: int
     int_bits: int
 
     def __post_init__(self):
-        if not 2 <= self.total_bits <= 63:
-            raise ValueError(f"total_bits must be in [2, 63], got {self.total_bits}")
+        if not all(type(w) is int for w in (self.total_bits, self.int_bits)):
+            raise TypeError(f"widths must be ints, got {self.total_bits!r}, {self.int_bits!r}")
+        if not 2 <= self.total_bits <= 32:
+            raise ValueError(f"total_bits must be in [2, 32], got {self.total_bits}")
         if not 1 <= self.int_bits <= self.total_bits:
             raise ValueError(
                 f"int_bits must be in [1, {self.total_bits}], got {self.int_bits}"
@@ -78,14 +77,6 @@ def parse_format(text: str) -> FxFormat:
 # Array helpers (int64 raws).
 
 
-def _check_vector_format(fmt: FxFormat) -> None:
-    if fmt.total_bits > _VECTOR_MAX_TOTAL_BITS:
-        raise ValueError(
-            f"array fixed-point ops support total_bits <= {_VECTOR_MAX_TOTAL_BITS}, "
-            f"got {fmt}"
-        )
-
-
 def _as_raws(arr):
     """Coerce to int64 raws without changing a value: floats, which the cast
     would truncate, and unsigned values past int64, which it would wrap into
@@ -118,20 +109,23 @@ def quantize_real(x, fmt: FxFormat):
     Scaling by ``2**frac_bits`` is a float64 exponent shift, so tie detection
     is exact for every representable input.
     """
-    _check_vector_format(fmt)
-    v = np.asarray(x, dtype=np.float64) * float(1 << fmt.frac_bits)
+    with np.errstate(over="ignore"):  # past float64 is +-inf, which saturates
+        v = np.asarray(x, dtype=np.float64) * float(1 << fmt.frac_bits)
     if np.isnan(v).any():
         raise ValueError("cannot quantize NaN")
-    r = _round_half_away_f64(v)
-    # float-stage clip keeps the int64 cast safe for infinities / huge inputs
-    np.clip(r, -(2.0**62), 2.0**62, out=r)
-    return _saturate_inplace(r.astype(np.int64), fmt)
+    return _saturate_to_raws(_round_half_away_f64(v), fmt)
 
 
 def _saturate_inplace(arr, fmt: FxFormat):
     np.minimum(arr, fmt.raw_max, out=arr)
     np.maximum(arr, fmt.raw_min, out=arr)
     return arr
+
+
+def _saturate_to_raws(r, fmt: FxFormat):
+    """Integral float64 values or infinities -> int64 raws: the clip in place to
+    bounds of at most 32 bits is exact, and puts the one cast in range."""
+    return _saturate_inplace(r, fmt).astype(np.int64)
 
 
 def mul_raw(a, b, fmt: FxFormat):
@@ -141,7 +135,6 @@ def mul_raw(a, b, fmt: FxFormat):
     the format range are refused.  Full int64 product, then ``_mul_round``,
     then clip.
     """
-    _check_vector_format(fmt)
     a = _as_raws(a)
     b = _as_raws(b)
     _max_abs(a, fmt)

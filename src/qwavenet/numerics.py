@@ -22,12 +22,13 @@ import numpy as np
 from .fixedpoint import (
     FX27_8,
     FxFormat,
-    _check_vector_format,
+    _as_raws,
     _max_abs,
     _mul_round,
     _products_fit,
     _round_half_away_f64,
     _saturate_inplace,
+    _saturate_to_raws,
     quantize_real,
     parse_format,
 )
@@ -80,19 +81,13 @@ class RealMode:
 
 @dataclass(frozen=True)
 class FixedMode:
-    """Saturating fixed-point arithmetic; arrays are int64 raws.
-
-    The array helpers hold formats up to 32 bits, so a wider format is
-    refused here rather than at the first operation.
-    """
+    """Saturating fixed-point arithmetic; arrays are int64 raws of an
+    ``FxFormat``, whose 32-bit limit lets int64 hold every product."""
 
     fmt: FxFormat = FX27_8
 
     name = "fixed"
     dtype = np.int64
-
-    def __post_init__(self):
-        _check_vector_format(self.fmt)
 
     def from_real(self, x):
         return quantize_real(x, self.fmt)
@@ -109,11 +104,12 @@ class FixedMode:
         return _saturate_inplace(np.add(a, b, dtype=np.int64), self.fmt)
 
     def tanh(self, x):
-        """Double-precision tanh of the real value, rounded half away and
-        saturated; |tanh| <= 1 needs no NaN test or clip before the cast."""
+        """Double-precision tanh of the real value of raws, rounded half away
+        and saturated; |tanh| <= 1 needs no NaN test.  Float operands are
+        refused, as in ``add``."""
         scale = float(1 << self.fmt.frac_bits)
-        r = _round_half_away_f64(np.tanh(x / scale) * scale)
-        return _saturate_inplace(r.astype(np.int64), self.fmt)
+        r = _round_half_away_f64(np.tanh(_as_raws(x) / scale) * scale)
+        return _saturate_to_raws(r, self.fmt)
 
     def matrix_facts(self, wd):
         """(S_max, w_max) of dealt weight raws: the largest row sum of |W_raw|

@@ -112,6 +112,8 @@ def naive_dilated_conv_sequence(
     history[t], with rows before the start of time as zeros and no activation.
     Columns are independent engine lanes, so rows match one-column matvecs.
     """
+    if dilation < 1:
+        raise ValueError(f"dilation must be >= 1, got {dilation}")
     history = np.asarray(history)
     if history.ndim != 2 or history.shape[0] < 1:
         raise ShapeMismatchError(f"history must be (T >= 1, channels), got {history.shape}")

@@ -24,7 +24,8 @@ class WavFormatError(ValueError):
 
 def encode_pcm16(samples) -> np.ndarray:
     """Real samples to int16 PCM codes."""
-    rounded = _round_half_away_f64(np.asarray(samples, dtype=np.float64) * 32767.0)
+    with np.errstate(over="ignore"):  # past float64 is +-inf, which clamps
+        rounded = _round_half_away_f64(np.asarray(samples, dtype=np.float64) * 32767.0)
     return np.clip(rounded, -32768, 32767).astype("<i2")
 
 

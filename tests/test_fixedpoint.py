@@ -75,10 +75,21 @@ def test_format_fields():
 
 @pytest.mark.parametrize(
     "total, integer",
-    [(1, 1), (0, 0), (64, 8), (16, 0), (16, 17), (-4, 2)],
+    [(1, 1), (0, 0), (33, 8), (40, 16), (64, 8), (16, 0), (16, 17), (-4, 2)],
 )
 def test_format_rejects_bad_widths(total, integer):
     with pytest.raises(ValueError):
+        FxFormat(total_bits=total, int_bits=integer)
+
+
+@pytest.mark.parametrize(
+    "total, integer",
+    [(27.0, 8), (27, 8.0), (np.int64(32), np.int64(1)), (True, 1), (16, True), ("16", 3)],
+)
+def test_format_rejects_non_int_widths(total, integer):
+    # 27.0 would fail at the first shift; np.int64 widths would overflow the
+    # Python-int row bounds of a 32-bit format
+    with pytest.raises(TypeError):
         FxFormat(total_bits=total, int_bits=integer)
 
 
@@ -241,13 +252,30 @@ def test_quantize_real_matches_scalar(xs):
 def test_quantize_real_rounds_near_halves_exactly(fmt):
     # k + 0.5 - ulp must round down (for k = 0 that is 0.5 - 2**-54, where
     # adding 0.5 in float64 would already give 1.0); exact ties round away
-    # from zero; infinities and huge values saturate
+    # from zero; infinities and huge values saturate, also those whose scaling
+    # leaves the float64 range
     below_half = [np.nextafter(k + 0.5, 0.0) for k in range(4)]
     ties = [k + 0.5 for k in range(4)]
-    mags = [m * 2.0**-fmt.frac_bits for m in below_half + ties] + [1e300, np.inf]
+    huge = [1e300, np.finfo(np.float64).max, np.inf]
+    mags = [m * 2.0**-fmt.frac_bits for m in below_half + ties] + huge
     xs = np.array([s * m for m in mags for s in (1.0, -1.0)])
     want = [to_fixed(float(x), fmt).raw for x in xs]
     assert quantize_real(xs, fmt).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "fmt", [FxFormat(32, 1), FxFormat(32, 32), FxFormat(2, 1), FxFormat(6, 6)], ids=str
+)
+def test_quantize_real_edges_match_scalar(fmt):
+    """The one saturating cast at the format's extremes: both ends of the raw
+    range, the raws around zero, each a quarter and half ulp off, infinities,
+    and 2**40, past every raw of a 32-bit format."""
+    ulp = 2.0**-fmt.frac_bits
+    raws = [fmt.raw_min, fmt.raw_min + 1, -1, 0, 1, fmt.raw_max - 1, fmt.raw_max]
+    offsets = [0.0, ulp / 4, -ulp / 4, ulp / 2, -ulp / 2]
+    xs = [r * ulp + d for r in raws for d in offsets] + [np.inf, -np.inf, 2.0**40, -(2.0**40)]
+    want = [to_fixed(x, fmt).raw for x in xs]
+    assert quantize_real(np.array(xs), fmt).tolist() == want
 
 
 def test_quantize_real_rejects_nan():
@@ -316,6 +344,12 @@ def test_fixed_mode_add_refuses_float_operands():
         FixedMode().add(np.array([1.7]), np.array([0]))
 
 
+def test_fixed_mode_tanh_refuses_float_operands():
+    # read as raws, 0.5 would be a real ~1e-6 whose tanh rounds to raw 0
+    with pytest.raises(TypeError):
+        FixedMode().tanh(np.array([0.5]))
+
+
 def test_mul_raw_refuses_floats_and_raws_past_int64():
     """The engine's operand rule: 1.7 would truncate to 1, 2**64 - 1 wrap to -1."""
     with pytest.raises(TypeError):
@@ -326,16 +360,15 @@ def test_mul_raw_refuses_floats_and_raws_past_int64():
 
 
 def test_vector_ops_reject_wide_formats():
-    wide = FxFormat(total_bits=40, int_bits=16)
-    a = np.array([1, 2], dtype=np.int64)
-    with pytest.raises(ValueError):
-        mul_raw(a, a, wide)
-    # so a numeric mode cannot be built on one
-    with pytest.raises(ValueError):
-        FixedMode(wide)
+    # the one width limit lives in FxFormat, so no mode can be built on one
+    with pytest.raises(ValueError, match=r"total_bits must be in \[2, 32\], got 40"):
+        FixedMode(FxFormat(total_bits=40, int_bits=8))
     with pytest.raises(ValueError):
         parse_mode("fixed<40,8>")
-    FixedMode(FxFormat(total_bits=32, int_bits=8))
-    # scalar path has no such limit
-    v = to_fixed(100.0, wide)
-    assert to_real(fx_mul(v, v)) == pytest.approx(10000.0)
+    # at the limit the array and scalar paths agree on a product past 2**31
+    widest = FxFormat(total_bits=32, int_bits=16)
+    v = to_fixed(100.0, widest)
+    assert to_real(fx_mul(v, v)) == 10000.0
+    a = np.array([v.raw], dtype=np.int64)
+    assert mul_raw(a, a, widest).tolist() == [fx_mul(v, v).raw]
+    assert FixedMode(widest).to_real(mul_raw(a, a, widest)).tolist() == [10000.0]

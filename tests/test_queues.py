@@ -189,6 +189,13 @@ def test_naive_conv_reads_delayed_and_current():
     assert naive_dilated_conv_sequence(hist, k0, k1, dilation=4, p=P11)[-1, 0] == 30.0
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("dilation", [0, -1])
+def test_naive_conv_refuses_dilation_below_one(rows, dilation):
+    with pytest.raises(ValueError, match=f"got {dilation}"):
+        naive_dilated_conv_sequence(np.ones((rows, 2)), np.eye(2), np.eye(2), dilation)
+
+
 def test_naive_conv_sequence_matches_single_steps():
     rng = np.random.default_rng(21)
     hist = rng.uniform(-1, 1, (9, 3))

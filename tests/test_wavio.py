@@ -86,6 +86,16 @@ def test_roundtrip_is_faithful(tmp_path):
     assert np.array_equal(encode_pcm16(back), encode_pcm16(samples))
 
 
+def test_write_wav_clamps_huge_finite_samples(tmp_path):
+    # 1e306 and the largest double scale past the float64 range; they clamp
+    # as any out-of-range sample does
+    big = np.finfo(np.float64).max
+    path = tmp_path / "a.wav"
+    write_wav(path, np.array([1e306, -1e306, big, -big]), 16000)
+    back, _ = read_wav(path)
+    assert (back * 32767.0).tolist() == [32767, -32768, 32767, -32768]
+
+
 def test_write_wav_validation(tmp_path):
     path = tmp_path / "a.wav"
     with pytest.raises(ValueError):
