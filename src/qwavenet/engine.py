@@ -60,13 +60,19 @@ def _check_lanes(p_in: int) -> None:
 
 @dataclass(frozen=True)
 class ParallelismParams:
-    """Engine parallelism degrees: concurrent output rows, and concurrent
-    input partitions per dot product (power of two, for the reduction tree)."""
+    """Engine parallelism degrees (ints, as ``FxFormat``'s widths): concurrent
+    output rows, and concurrent input partitions per dot product (power of
+    two, for the reduction tree)."""
 
     num_parallel_out: int
     num_parallel_in: int
 
     def __post_init__(self):
+        if not all(type(d) is int for d in (self.num_parallel_out, self.num_parallel_in)):
+            raise TypeError(
+                f"parallelism degrees must be ints, got {self.num_parallel_out!r}, "
+                f"{self.num_parallel_in!r}"
+            )
         if self.num_parallel_out < 1:
             raise ValueError(f"num_parallel_out must be >= 1, got {self.num_parallel_out}")
         _check_lanes(self.num_parallel_in)

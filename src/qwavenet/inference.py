@@ -37,7 +37,7 @@ import numpy as np
 from .engine import DEFAULT_PARALLELISM, ParallelismParams, _lower, matvec
 from .fixedpoint import _round_half_away_f64
 from .model import ModelConfig, validate_config
-from .numerics import RealMode
+from .numerics import FixedMode, RealMode
 from .queues import LayerState, dilated_conv_step, naive_dilated_conv_sequence
 from .weights import WeightSet
 
@@ -152,19 +152,19 @@ class _Session:
         self.layers = [LayerState.fresh(spec, dtype=mode.dtype) for spec in self.specs]
         self.history = mode.zeros((0, 1))
 
-    def forward(self, x_scalar: float, stats=None, outputs=None):
+    def forward(self, x_scalar: float, stats=None, observe=None):
         """One full network pass on a scalar input; returns native logits.
 
-        Every queue receives exactly one push.  ``outputs`` maps a layer
-        index to an iterator over writable float64 rows; each pass writes
-        that layer's output, in the real domain, into the iterator's next row.
+        Every queue receives exactly one push.  When given, ``observe(i, out)``
+        is called after each layer, in sweep order, with the layer's index
+        and its output in the mode's native representation.
         """
         mode = self.mode
         cur = mode.from_real(np.array([x_scalar], dtype=np.float64))
         for i, (layer, (k0, k1), p) in enumerate(zip(self.layers, self.kernels, self.params)):
             cur = dilated_conv_step(layer, cur, k0, k1, p=p, mode=mode, stats=stats)
-            if outputs is not None and i in outputs:
-                next(outputs[i])[:] = mode.to_real(cur)
+            if observe is not None:
+                observe(i, cur)
         return matvec(self.fc_wt, cur, bias=self.fc_b, mode=mode, stats=stats)
 
     def forward_naive(self, x_scalar: float, stats=None):
@@ -266,6 +266,8 @@ def static_headroom(cfg: ModelConfig, ws: WeightSet, mode) -> list[float]:
     ``FixedMode.row_bound`` of its two kernels at inputs |x| <= 1, as a share
     of raw_max, read from the facts a session caches when it lowers them.
     Below 1, no matvec of the layer can saturate on inputs in [-1, 1]."""
+    if not isinstance(mode, FixedMode):
+        raise TypeError(f"static_headroom needs a fixed-point mode, got {mode}")
     fmt = mode.fmt
     return [
         max(mode.row_bound(k, 1 << fmt.frac_bits) for k in pair) / fmt.raw_max
@@ -297,8 +299,8 @@ def teacher_forced_layer_outputs(
 ) -> TeacherForcedTrace:
     """Drive the network with ``inputs`` (no feedback), recording activations.
 
-    ``record_layers`` limits which global layer indices are traced (all by
-    default); traces are returned in the real domain whatever the mode.
+    ``record_layers`` limits which global layer indices, integers, are traced
+    (all by default); traces are returned in the real domain whatever the mode.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 1 or inputs.size == 0:
@@ -309,7 +311,10 @@ def teacher_forced_layer_outputs(
     n_layers = len(session.specs)
     if record_layers is None:
         record_layers = range(n_layers)
-    record_layers = sorted(set(int(i) for i in record_layers))
+    record_layers = list(record_layers)
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in record_layers):
+        raise ValueError(f"record_layers must be integer indices, got {record_layers!r}")
+    record_layers = sorted({int(i) for i in record_layers})
     if record_layers and not 0 <= record_layers[0] <= record_layers[-1] < n_layers:
         raise ValueError(f"record_layers out of range [0, {n_layers - 1}]")
 
@@ -318,5 +323,10 @@ def teacher_forced_layer_outputs(
         for i in record_layers
     }
     rows = {i: iter(trace) for i, trace in layer_outputs.items()}
-    bins = _run(session, partial(_Session.forward, outputs=rows), inputs, 0, stats)
+
+    def record(i, out):
+        if i in rows:
+            next(rows[i])[:] = mode.to_real(out)
+
+    bins = _run(session, partial(_Session.forward, observe=record), inputs, 0, stats)
     return TeacherForcedTrace(layer_outputs, bins, dequantize(bins, cfg.quant_levels))

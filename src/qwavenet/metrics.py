@@ -34,6 +34,10 @@ class SpectrogramParams:
     epsilon: float = 1e-10
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.window_size, self.hop)):
+            raise TypeError(
+                f"window_size and hop must be ints, got {self.window_size!r}, {self.hop!r}"
+            )
         w = self.window_size
         if w < 2 or w & (w - 1):
             raise ValueError(f"window_size must be a power of two >= 2, got {w}")
@@ -68,12 +72,20 @@ class MetricReport:
             raise ValueError("metrics cannot be negative")
 
 
+def _signal(x, what: str) -> np.ndarray:
+    """A finite 1-D float64 signal; NaN or infinity would poison every metric."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{what} expects 1-D signals")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what}: signal holds non-finite values (NaN or infinity)")
+    return a
+
+
 def mse(x1, x2) -> float:
     """Mean squared difference over the whole waveform."""
-    a = np.asarray(x1, dtype=np.float64)
-    b = np.asarray(x2, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("mse expects 1-D signals")
+    a = _signal(x1, "mse")
+    b = _signal(x2, "mse")
     if a.shape != b.shape:
         raise LengthMismatchError(f"length mismatch: {a.size} vs {b.size}")
     if a.size == 0:
@@ -86,11 +98,10 @@ def stft(x, params: SpectrogramParams = SpectrogramParams()) -> np.ndarray:
     """Short-time Fourier transform.
 
     Returns a complex (frames, window_size // 2 + 1) matrix: windowed frames
-    at stride ``hop``, real-input FFT, nonnegative-frequency bins only.
+    at stride ``hop``, real-input FFT, nonnegative-frequency bins only.  A
+    signal holding NaN or infinity is refused.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("stft expects a 1-D signal")
+    x = _signal(x, "stft")
     frames = params.frame_count(x.size)
     idx = params.hop * np.arange(frames)[:, None] + np.arange(params.window_size)[None, :]
     return np.fft.rfft(x[idx] * params.taper(), axis=1)

@@ -8,7 +8,10 @@ other layer reads ``channels`` channels.  A single fully connected layer maps
 the last convolution output to ``quant_levels`` logits.
 
 This module owns the structural invariants: per-layer shapes, queue sizes,
-receptive field, and the JSON config format.  Weight storage lives in
+receptive field, and the JSON config format.  A :class:`ModelConfig` checks
+itself when built, directly, by ``dataclasses.replace`` or from JSON: every
+field is a Python ``int`` (``FxFormat``'s rule), the ranges hold and the
+filter width is 2, so a saved config always loads.  Weight storage lives in
 :mod:`qwavenet.weights`.
 """
 
@@ -29,6 +32,10 @@ CONFIG_KEYS = (
     "sample_rate",
 )
 
+_MINIMUMS = {
+    "num_blocks": 1, "layers_per_block": 1, "channels": 1, "quant_levels": 2, "sample_rate": 1,
+}
+
 
 class ConfigError(ValueError):
     """A model configuration violates a structural invariant."""
@@ -48,6 +55,19 @@ class ModelConfig:
     channels: int = 128
     quant_levels: int = 256
     sample_rate: int = 16000
+
+    def __post_init__(self):
+        for k in CONFIG_KEYS:
+            v = getattr(self, k)
+            if type(v) is not int:
+                raise ConfigError(f"config key {k} must be an int, got {v!r}")
+        for k, lo in _MINIMUMS.items():
+            if getattr(self, k) < lo:
+                raise ConfigError(f"{k} must be >= {lo}, got {getattr(self, k)}")
+        if self.filter_width != SUPPORTED_FILTER_WIDTH:
+            raise ConfigError(
+                f"filter_width must be {SUPPORTED_FILTER_WIDTH}, got {self.filter_width}"
+            )
 
     @property
     def total_layers(self) -> int:
@@ -79,26 +99,9 @@ class LayerSpec:
 
 
 def validate_config(cfg: ModelConfig) -> list[LayerSpec]:
-    """Check every config invariant and return the ordered per-layer specs.
-
-    Layers are listed block-major (all of block 1, then block 2, ...).
-    Raises :class:`ConfigError` on any violation; pure otherwise.
+    """The ordered per-layer specs of a config, block-major (all of block 1,
+    then block 2, ...).  Checks nothing: the config checked itself when built.
     """
-    if cfg.num_blocks < 1:
-        raise ConfigError("num_blocks must be >= 1")
-    if cfg.layers_per_block < 1:
-        raise ConfigError("layers_per_block must be >= 1")
-    if cfg.filter_width != SUPPORTED_FILTER_WIDTH:
-        raise ConfigError(
-            f"filter_width must be {SUPPORTED_FILTER_WIDTH}, got {cfg.filter_width}"
-        )
-    if cfg.channels < 1:
-        raise ConfigError("channels must be >= 1")
-    if cfg.quant_levels < 2:
-        raise ConfigError("quant_levels must be >= 2")
-    if cfg.sample_rate < 1:
-        raise ConfigError("sample_rate must be >= 1")
-
     specs = []
     for b in range(1, cfg.num_blocks + 1):
         for l in range(1, cfg.layers_per_block + 1):
@@ -151,19 +154,10 @@ def config_from_dict(data: dict) -> ModelConfig:
     missing = set(CONFIG_KEYS) - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    values = {}
-    for k in CONFIG_KEYS:
-        v = data[k]
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ConfigError(f"config key {k} must be an integer, got {v!r}")
-        values[k] = v
-    cfg = ModelConfig(**values)
-    validate_config(cfg)
-    return cfg
+    return ModelConfig(**data)
 
 
 def save_config(cfg: ModelConfig, path) -> None:
-    validate_config(cfg)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(config_to_dict(cfg), f, indent=2)
         f.write("\n")

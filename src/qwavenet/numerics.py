@@ -93,7 +93,8 @@ class FixedMode:
         return quantize_real(x, self.fmt)
 
     def to_real(self, x):
-        return np.divide(x, float(1 << self.fmt.frac_bits))
+        """Real values of raws; float operands are refused, as in ``add``."""
+        return np.divide(_as_raws(x), float(1 << self.fmt.frac_bits))
 
     def zeros(self, shape):
         return np.zeros(shape, dtype=np.int64)

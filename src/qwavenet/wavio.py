@@ -30,7 +30,10 @@ def encode_pcm16(samples) -> np.ndarray:
 
 
 def write_wav(path, samples, sample_rate: int) -> None:
-    """Write a mono 16-bit PCM file; samples are reals in [-1, 1]."""
+    """Write a mono 16-bit PCM file; samples are reals in [-1, 1] and the
+    rate is an int, which the header stores exactly."""
+    if type(sample_rate) is not int:
+        raise TypeError(f"sample_rate must be an int, got {sample_rate!r}")
     if sample_rate < 1:
         raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
     samples = np.asarray(samples, dtype=np.float64)

@@ -518,3 +518,13 @@ def test_parallelism_params_validation():
     with pytest.raises(ValueError):
         ParallelismParams(1, 3)  # inner parallelism must be a power of two
     ParallelismParams(3, 4)  # outer parallelism is unrestricted
+
+
+@pytest.mark.parametrize(
+    "p_out, p_in", [(2.5, 4), (8, 4.0), (True, True), (8, True), (np.int64(8), 4), (8, "4")]
+)
+def test_parallelism_params_take_ints_only(p_out, p_in):
+    # as FxFormat's widths: a float degree would give fractional cycle counts
+    # and buffer sizes, and a bool would pass for 1
+    with pytest.raises(TypeError, match="must be ints"):
+        ParallelismParams(p_out, p_in)

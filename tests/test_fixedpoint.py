@@ -350,6 +350,12 @@ def test_fixed_mode_tanh_refuses_float_operands():
         FixedMode().tanh(np.array([0.5]))
 
 
+def test_fixed_mode_to_real_refuses_float_operands():
+    # read as raws, 0.5 would come back as the real 0.5 / 2**19, not 0.5
+    with pytest.raises(TypeError):
+        FixedMode().to_real(np.array([0.5]))
+
+
 def test_mul_raw_refuses_floats_and_raws_past_int64():
     """The engine's operand rule: 1.7 would truncate to 1, 2**64 - 1 wrap to -1."""
     with pytest.raises(TypeError):

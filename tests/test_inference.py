@@ -22,6 +22,7 @@ from qwavenet import (
     teacher_forced_layer_outputs,
     validate_config,
 )
+from qwavenet.inference import static_headroom
 from qwavenet.queues import naive_dilated_conv_sequence
 
 TINY = ModelConfig(num_blocks=1, layers_per_block=4, channels=8)
@@ -367,11 +368,12 @@ def test_teacher_forced_record_subset():
     ws = random_weights(cfg, seed=1)
     inputs = np.linspace(-0.5, 0.5, 30)
     full = teacher_forced_layer_outputs(cfg, ws, inputs)
-    sub = teacher_forced_layer_outputs(cfg, ws, inputs, record_layers=[0, 3])
-    assert set(sub.layer_outputs) == {0, 3}
-    for i in (0, 3):
-        assert np.array_equal(sub.layer_outputs[i], full.layer_outputs[i])
-    assert np.array_equal(sub.bins, full.bins)
+    for layers in ([0, 3], np.array([3, 0])):  # numpy integers are indices too
+        sub = teacher_forced_layer_outputs(cfg, ws, inputs, record_layers=layers)
+        assert set(sub.layer_outputs) == {0, 3}
+        for i in (0, 3):
+            assert np.array_equal(sub.layer_outputs[i], full.layer_outputs[i])
+        assert np.array_equal(sub.bins, full.bins)
 
 
 def test_teacher_forced_validation():
@@ -383,6 +385,35 @@ def test_teacher_forced_validation():
         teacher_forced_layer_outputs(cfg, ws, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         teacher_forced_layer_outputs(cfg, ws, np.array([]))
+
+
+@pytest.mark.parametrize("layers", [[0.5], [True], [np.float64(1.0)], [0, "1"]])
+def test_teacher_forced_refuses_non_integer_layer_indices(layers):
+    # 0.5 used to record layer 0 and True layer 1
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
+    ws = random_weights(cfg, seed=1)
+    with pytest.raises(ValueError, match="integer indices"):
+        teacher_forced_layer_outputs(cfg, ws, np.zeros(3), record_layers=layers)
+
+
+@pytest.mark.parametrize("mode", [RealMode(), FixedMode()], ids=["real", "fixed"])
+def test_forward_observer_sees_every_layer_in_sweep_order(mode):
+    from qwavenet.inference import _Session
+
+    cfg = ModelConfig(num_blocks=2, layers_per_block=3, channels=4)
+    sess = _Session(cfg, random_weights(cfg, seed=3), mode)
+    seen = []
+    for x in (0.25, -0.5, 0.0):
+        sess.forward(x, observe=lambda i, out: seen.append((i, out.dtype, out.shape)))
+    L = cfg.total_layers
+    assert [i for i, _, _ in seen] == list(range(L)) * 3
+    assert all(dtype == mode.dtype and shape == (4,) for _, dtype, shape in seen)
+
+
+def test_static_headroom_refuses_non_fixed_modes():
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
+    with pytest.raises(TypeError, match="fixed-point mode"):
+        static_headroom(cfg, random_weights(cfg, seed=1), RealMode())
 
 
 @pytest.mark.parametrize("mode", [RealMode(), FixedMode()], ids=["real", "fixed"])

@@ -154,6 +154,28 @@ def test_spectrogram_params_validation():
         SpectrogramParams(epsilon=0.0)
 
 
+@pytest.mark.parametrize(
+    "kw", [dict(hop=16.5), dict(window_size=64.0), dict(hop=True), dict(window_size=np.int64(64))]
+)
+def test_spectrogram_params_take_ints_only(kw):
+    with pytest.raises(TypeError, match="must be ints"):
+        SpectrogramParams(**kw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_refuse_non_finite_signals(bad):
+    clean = np.sin(np.arange(256) * 0.1)
+    dirty = clean.copy()
+    dirty[100] = bad
+    for a, b in ((clean, dirty), (dirty, clean)):
+        with pytest.raises(ValueError, match="non-finite"):
+            mse(a, b)
+        with pytest.raises(ValueError, match="non-finite"):
+            log_spectral_distance(a, b, SMALL)
+        with pytest.raises(ValueError, match="non-finite"):
+            metric_report(a, b, SMALL)
+
+
 # ---------------------------------------------------------------------------
 # normalized log spectrogram and LSD
 

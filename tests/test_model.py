@@ -1,10 +1,11 @@
 """Structural invariants: layer table, queue sizes, receptive field, config I/O."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qwavenet import (
@@ -20,6 +21,7 @@ from qwavenet import (
     teacher_forced_layer_outputs,
     validate_config,
 )
+from qwavenet.model import CONFIG_KEYS
 
 
 def small_configs():
@@ -95,9 +97,24 @@ def test_layer_table_invariants(cfg):
     ],
 )
 def test_validate_config_rejects(field, value):
-    cfg = ModelConfig(**{field: value})
+    # a config checks itself when built, so a bad one never reaches validate_config
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        ModelConfig(**{field: value})
+    with pytest.raises(ConfigError):
+        replace(ModelConfig(), **{field: value})
+
+
+@pytest.mark.parametrize("field", CONFIG_KEYS)
+@pytest.mark.parametrize(
+    "bad",
+    [2.0, 16000.5, True, np.int64(2), "2", None],
+    ids=["float", "fraction", "bool", "numpy", "str", "none"],
+)
+def test_config_fields_take_ints_only(field, bad):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: bad})
+    with pytest.raises(ConfigError, match=field):
+        replace(ModelConfig(), **{field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +192,11 @@ def test_receptive_field_impulse_oracle():
 # config file round-trip
 
 
-def test_config_roundtrip(tmp_path):
-    cfg = ModelConfig(num_blocks=1, layers_per_block=6, channels=12, quant_levels=64)
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_configs())
+@example(ModelConfig(num_blocks=1, layers_per_block=6, channels=12, quant_levels=64))
+def test_config_roundtrip(tmp_path, cfg):
+    # every config that can be built saves and loads back equal
     path = tmp_path / "model.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -198,6 +218,8 @@ def test_config_file_is_plain_json(tmp_path):
         lambda d: d.update(channels="128"),
         lambda d: d.update(channels=True),
         lambda d: d.update(quant_levels=1),
+        lambda d: d.update(channels=128.0),
+        lambda d: d.update(sample_rate=16000.5),
     ],
 )
 def test_load_config_rejects_malformed(tmp_path, mutate):

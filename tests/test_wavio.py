@@ -106,6 +106,16 @@ def test_write_wav_validation(tmp_path):
         write_wav(path, np.zeros((2, 2)), 16000)
 
 
+@pytest.mark.parametrize("rate", [16000.5, 16000.0, True, np.int64(16000)])
+def test_write_wav_rate_takes_ints_only(tmp_path, rate):
+    # the header stores an integer rate: 16000.5 would be written as 16000
+    # and True as 1 Hz
+    path = tmp_path / "a.wav"
+    with pytest.raises(TypeError, match="sample_rate must be an int"):
+        write_wav(path, np.zeros(4), rate)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_write_wav_refuses_non_finite(tmp_path, bad):
     path = tmp_path / "a.wav"
