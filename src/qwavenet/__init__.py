@@ -26,9 +26,7 @@ from .fixedpoint import (
     fx_add,
     fx_mul,
     fx_tanh,
-    mul_raw,
     parse_format,
-    quantize_real,
     to_fixed,
     to_real,
 )
@@ -66,7 +64,7 @@ from .model import (
     save_config,
     validate_config,
 )
-from .numerics import FixedMode, RealMode, parse_mode
+from .numerics import FixedMode, RealMode, mul_raw, parse_mode, quantize_real
 from .queues import (
     CyclicQueue,
     LayerState,

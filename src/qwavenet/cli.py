@@ -215,41 +215,26 @@ def _cmd_explore(args) -> int:
     pouts = _parse_int_list(args.pout_list)
     pins = _parse_int_list(args.pin_list)
 
-    rows = []
-    for spec in specs:
-        for po, pi in product(pouts, pins):
-            p = ParallelismParams(po, pi)
-            est = estimate_cycles(spec.out_channels, spec.in_channels, p)
-            rows.append(
-                [
-                    spec.block_index,
-                    spec.layer_index,
-                    spec.out_channels,
-                    spec.in_channels,
-                    po,
-                    pi,
-                    est.mac_count,
-                    est.estimated_cycles,
-                    est.weight_buffer_elems,
-                ]
-            )
+    rows = [
+        {
+            "block": spec.block_index,
+            "layer": spec.layer_index,
+            "rows": spec.out_channels,
+            "cols": spec.in_channels,
+            "p_out": po,
+            "p_in": pi,
+            **asdict(
+                estimate_cycles(spec.out_channels, spec.in_channels, ParallelismParams(po, pi))
+            ),
+        }
+        for spec in specs
+        for po, pi in product(pouts, pins)
+    ]
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(out)
-        writer.writerow(
-            [
-                "block",
-                "layer",
-                "rows",
-                "cols",
-                "p_out",
-                "p_in",
-                "mac_count",
-                "estimated_cycles",
-                "weight_buffer_elems",
-            ]
-        )
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+        writer.writeheader()
         writer.writerows(rows)
     finally:
         if args.out:

@@ -11,10 +11,12 @@ model and the run report.  The order is part of the contract
 in real or fixed-point mode, regardless of how the work is batched.
 
 ``matvec_cols`` is the one evaluation path; ``matvec`` is its one-column
-case.  W is a plain (M, N) array, lowered on every call, or a matrix lowered
-once (``_Session`` keeps one per kernel and for the FC weight): the native
-weights dealt lane-major, ``(chunks, p_in, rows)``, plus the mode's static
-facts about them.  Both forms run the same kernel.  Products are laid out
+case.  W is a plain (M, N) array, lowered with its bias on every call, or a
+matrix lowered once with its bias (``_Session`` keeps one per kernel and for
+the FC weight): the native weights dealt lane-major, ``(chunks, p_in,
+rows)``, plus the mode's static facts about them.  Both forms run the same
+kernel, which knows no number type: the mode supplies native operands and
+the arithmetic.  Products are laid out
 ``(chunks, p_in, rows, columns)``; the mode's ``mac`` multiplies and runs
 every accumulator's sequential MAC chain at once along the chunk axis, and
 ``_tree_reduce`` combines the lane partials.  Each column sees exactly the
@@ -28,7 +30,7 @@ rounded product, fold partial or tree partial exceeds
 ``(S_max·m >> f) + N``.  That bound alone decides each call's path in
 ``FixedMode.mac``: when it fits the format the row sums are exact and need
 no clip; otherwise the clipped fold runs.  Raws outside the format range are
-refused: weights when lowered, inputs and bias per call.
+refused: weights and bias when lowered, inputs per call.
 
 ``estimate_cycles`` is the analytic cost model for the same datapath: one
 cycle per MAC round per accumulator, plus tree depth, plus one accumulate,
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import _as_raws, _max_abs
 from .numerics import RealMode
 
 _REAL = RealMode()
@@ -100,15 +101,6 @@ class CostEstimate:
     weight_buffer_elems: int
 
 
-def _as_native(arr, mode):
-    """Coerce to the mode's array representation: float64 values, or int64
-    raws under ``fixedpoint._as_raws``'s rule, which refuses floats and
-    integers that int64 cannot hold."""
-    if mode.dtype == np.int64:
-        return _as_raws(arr)
-    return np.asarray(arr, dtype=np.float64)
-
-
 def _tree_reduce(arr, mode):
     """Pairwise-reduce axis 0, whose length is a power of two, to one partial.
 
@@ -136,28 +128,34 @@ def _deal(a, p_in):
 class _Lowered:
     """An (M, N) weight matrix lowered once for one mode and lane count.
 
-    ``wd`` holds the native weights dealt lane-major, (chunks, p_in, M);
-    ``facts`` are the mode's static facts about them (``mode.matrix_facts``).
+    ``wd`` holds the native weights dealt lane-major, (chunks, p_in, M),
+    ``bias`` the native (M,) bias or None, and ``facts`` the mode's static
+    facts about both (``mode.matrix_facts``).
     """
 
     wd: np.ndarray
     shape: tuple
     mode: object
     facts: object
+    bias: object
 
 
-def _lower(W, p_in, mode):
-    """Lower an (M, N) matrix for ``mode`` on ``p_in`` lanes.
+def _lower(W, p_in, mode, bias=None):
+    """Lower an (M, N) matrix and its optional bias for ``mode`` on ``p_in`` lanes.
 
     The engine reads W input-major: a W whose transpose is C-contiguous
     (``W.T`` of an (N, M) array) is dealt without a copy when p_in divides N.
     """
-    W = _as_native(W, mode)
+    W = mode.native(W)
     if W.ndim != 2 or W.shape[1] == 0:
         raise ShapeMismatchError(f"matvec weight shape {W.shape}")
+    if bias is not None:
+        bias = mode.native(bias)
+        if bias.shape != W.shape[:1]:
+            raise ShapeMismatchError(f"bias shape {bias.shape}, expected ({W.shape[0]},)")
     _check_lanes(p_in)
     wd = _deal(np.ascontiguousarray(W.T), p_in)
-    return _Lowered(wd, W.shape, mode, mode.matrix_facts(wd))
+    return _Lowered(wd, W.shape, mode, mode.matrix_facts(wd, bias), bias)
 
 
 def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
@@ -165,26 +163,23 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
 
     W is (M, N), plain or lowered for this mode and ``p``'s lane count; X is
     (N, T); returns (M, T).  Column t of the result is bit-identical to
-    ``matvec(W, X[:, t], ...)``.  A plain W is lowered on every call, and is
-    copied when its transpose is not C-contiguous.
+    ``matvec(W, X[:, t], ...)``.  A plain W is lowered on every call, with
+    ``bias``, and is copied when its transpose is not C-contiguous; a lowered
+    W carries its own bias and takes no other.
     """
     p_in = p.num_parallel_in
     if not isinstance(W, _Lowered):
-        W = _lower(W, p_in, mode)
+        W = _lower(W, p_in, mode, bias)
+    elif bias is not None:
+        raise ValueError("a lowered matrix carries its own bias")
     elif W.mode != mode or W.wd.shape[1] != p_in:
         raise ValueError(
             f"matrix lowered for {W.mode} on {W.wd.shape[1]} lanes, used in {mode} on {p_in}"
         )
-    X = _as_native(X, mode)
+    X = mode.native(X)
     M, N = W.shape
     if X.ndim != 2 or X.shape[0] != N:
         raise ShapeMismatchError(f"matvec shapes {W.shape} vs {X.shape}")
-    if bias is not None:
-        bias = _as_native(bias, mode)
-        if bias.shape != (M,):
-            raise ShapeMismatchError(f"bias shape {bias.shape}, expected ({M},)")
-        if mode.dtype == np.int64:
-            _max_abs(bias, mode.fmt)  # mode.add's int64 add would wrap a raw outside the format
     if stats is not None:
         stats.record(M, N, X.shape[1])
     # products[k, l, r, t] = W[r, k*p_in + l] * X[k*p_in + l, t]; rows and
@@ -192,8 +187,8 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
     # column's declared MAC/tree order exactly.  Both operands are
     # contiguous, which keeps the product contiguous for the fold.
     out = _tree_reduce(mode.mac(W, _deal(np.ascontiguousarray(X), p_in)), mode)
-    if bias is not None:
-        out = mode.add(out, bias[:, None])
+    if W.bias is not None:
+        out = mode.add(out, W.bias[:, None])
     return out
 
 
@@ -212,6 +207,8 @@ def estimate_cycles(M: int, N: int, p: ParallelismParams) -> CostEstimate:
     chunk, one MAC round per accumulator depth, the reduction tree, and one
     output accumulate.  The weight buffer holds one row chunk: p_out × N.
     """
+    if type(M) is not int or type(N) is not int:
+        raise TypeError(f"matrix dims must be ints, got {M!r}x{N!r}")
     if M < 1 or N < 1:
         raise ValueError(f"matrix dims must be >= 1, got {M}x{N}")
     p_out, p_in = p.num_parallel_out, p.num_parallel_in

@@ -1,4 +1,4 @@
-"""Saturating signed fixed-point arithmetic with a parameterized format.
+"""Saturating signed fixed-point formats and the exact scalar reference.
 
 A value is an integer ``raw`` interpreted as ``raw / 2**frac_bits`` in a
 ``total_bits``-wide two's-complement word; ``int_bits`` includes the sign.
@@ -9,9 +9,10 @@ Numeric rules, chosen once and applied everywhere:
 * tanh is evaluated in double precision on the real value and requantized.
 
 A format is at most 32 bits wide, so int64 holds the product of any two
-raws.  Scalar operations (:class:`FxValue`, ``fx_*``) use Python integers and
-are exact; the array operations (``quantize_real``, ``mul_raw`` and the
-helpers ``numerics.FixedMode`` is built from) give the same bits on int64 raws.
+raws.  The scalar operations here (:class:`FxValue`, ``fx_*``) use Python
+integers and are exact: they are the oracle for the array operations in
+:mod:`qwavenet.numerics` (``FixedMode``, ``quantize_real``, ``mul_raw``),
+which give the same bits on int64 raws.
 """
 
 from __future__ import annotations
@@ -71,113 +72,6 @@ def parse_format(text: str) -> FxFormat:
     if not m:
         raise ValueError(f"not a fixed-point format string: {text!r}")
     return FxFormat(int(m.group(1)), int(m.group(2)))
-
-
-# ---------------------------------------------------------------------------
-# Array helpers (int64 raws).
-
-
-def _as_raws(arr):
-    """Coerce to int64 raws without changing a value: floats, which the cast
-    would truncate, and unsigned values past int64, which it would wrap into
-    the format's range, are refused.  Convert real values with ``from_real``."""
-    a = np.asarray(arr)
-    if a.dtype == np.int64:
-        return a
-    if np.issubdtype(a.dtype, np.floating):
-        raise TypeError("fixed-point ops take raw integer arrays; use from_real for real values")
-    if a.dtype.kind == "u" and int(a.max(initial=0)) > np.iinfo(np.int64).max:
-        raise ValueError(f"raw {int(a.max())} does not fit int64")
-    return a.astype(np.int64)
-
-
-def _round_half_away_f64(v):
-    """Round a float64 array to integral values, ties away from zero.
-
-    floor(|v| + 0.5) would round the sum itself, sending 0.5 - 2**-54 to 1;
-    the fraction modf splits off is exact, so compare that with one half.
-    Infinities pass through.
-    """
-    frac, r = np.modf(np.abs(v))
-    r += frac >= 0.5
-    return np.copysign(r, v)
-
-
-def quantize_real(x, fmt: FxFormat):
-    """Real array -> int64 raws; round half away from zero, then saturate.
-
-    Scaling by ``2**frac_bits`` is a float64 exponent shift, so tie detection
-    is exact for every representable input.
-    """
-    with np.errstate(over="ignore"):  # past float64 is +-inf, which saturates
-        v = np.asarray(x, dtype=np.float64) * float(1 << fmt.frac_bits)
-    if np.isnan(v).any():
-        raise ValueError("cannot quantize NaN")
-    return _saturate_to_raws(_round_half_away_f64(v), fmt)
-
-
-def _saturate_inplace(arr, fmt: FxFormat):
-    np.minimum(arr, fmt.raw_max, out=arr)
-    np.maximum(arr, fmt.raw_min, out=arr)
-    return arr
-
-
-def _saturate_to_raws(r, fmt: FxFormat):
-    """Integral float64 values or infinities -> int64 raws: the clip in place to
-    bounds of at most 32 bits is exact, and puts the one cast in range."""
-    return _saturate_inplace(r, fmt).astype(np.int64)
-
-
-def mul_raw(a, b, fmt: FxFormat):
-    """Saturating multiply of raw arrays.
-
-    Operands follow the engine's rule (``_as_raws``): floats and raws outside
-    the format range are refused.  Full int64 product, then ``_mul_round``,
-    then clip.
-    """
-    a = _as_raws(a)
-    b = _as_raws(b)
-    _max_abs(a, fmt)
-    _max_abs(b, fmt)
-    return _saturate_inplace(_mul_round(a, b, fmt.frac_bits), fmt)
-
-
-def _mul_round(a, b, f: int):
-    """int64 product shifted right by ``f``, rounded half away from zero; no clip.
-
-    Rounding uses the branch-free two's-complement identity: adding half-1
-    instead of half before the arithmetic shift when the product is negative
-    (p >> 63 is -1 exactly then) lands on round-half-away for both signs.
-    """
-    p = a * b
-    if f:
-        offset = p >> 63
-        offset += 1 << (f - 1)
-        p += offset
-        p >>= f
-    return p
-
-
-def _products_fit(a_max: int, b_max: int, fmt: FxFormat) -> bool:
-    """Whether every rounded product of magnitudes up to a_max, b_max is in range."""
-    f = fmt.frac_bits
-    return (a_max * b_max + ((1 << f) >> 1)) >> f <= fmt.raw_max
-
-
-def _max_abs(arr, fmt: FxFormat) -> int:
-    """Largest |raw| of an int64 array; a raw outside the format range is refused,
-    as ``FxValue`` refuses it, since its products could wrap int64."""
-    hi, lo = int(arr.max(initial=0)), int(arr.min(initial=0))
-    if hi > fmt.raw_max or lo < fmt.raw_min:
-        raise ValueError(
-            f"raw {hi if hi > fmt.raw_max else lo} out of range for {fmt} "
-            f"[{fmt.raw_min}, {fmt.raw_max}]"
-        )
-    return max(hi, -lo)
-
-
-# ---------------------------------------------------------------------------
-# Scalar values.
 
 
 @dataclass(frozen=True)

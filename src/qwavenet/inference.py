@@ -35,9 +35,8 @@ from functools import partial
 import numpy as np
 
 from .engine import DEFAULT_PARALLELISM, ParallelismParams, _lower, matvec
-from .fixedpoint import _round_half_away_f64
 from .model import ModelConfig, validate_config
-from .numerics import FixedMode, RealMode
+from .numerics import FixedMode, RealMode, _round_half_away_f64
 from .queues import LayerState, dilated_conv_step, naive_dilated_conv_sequence
 from .weights import WeightSet
 
@@ -50,14 +49,21 @@ SCALAR_PARALLELISM = ParallelismParams(1, 1)
 # Quantization between real samples in [-1, 1] and bin indices.
 
 
+def _check_levels(levels) -> None:
+    """A level count is an int (``FxFormat``'s rule) of at least 2."""
+    if type(levels) is not int:
+        raise TypeError(f"levels must be an int, got {levels!r}")
+    if levels < 2:
+        raise ValueError(f"levels must be >= 2, got {levels}")
+
+
 def quantize(x, levels: int):
     """Map reals (clamped to [-1, 1]) onto bins 0 .. levels-1.
 
     bin = round((x + 1) / 2 * (levels - 1)), ties away from zero — so 0.0
     with 256 levels lands on bin 128, not 127.
     """
-    if levels < 2:
-        raise ValueError(f"levels must be >= 2, got {levels}")
+    _check_levels(levels)
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("cannot quantize NaN")
@@ -68,8 +74,7 @@ def quantize(x, levels: int):
 
 def dequantize(b, levels: int):
     """Bin index back to its lattice point in [-1, 1]."""
-    if levels < 2:
-        raise ValueError(f"levels must be >= 2, got {levels}")
+    _check_levels(levels)
     b = np.asarray(b)
     if b.dtype.kind not in "iu":
         raise ValueError(f"bins must be integers, got dtype {b.dtype}")
@@ -124,8 +129,8 @@ def default_layer_params(layer_specs) -> tuple[ParallelismParams, ...]:
 
 class _Session:
     """A configured model lowered into one numeric mode: native-format
-    kernels and FC weight, fresh layer queues in sweep order, and an empty
-    input history for the full-history backend.
+    kernels and FC weight with its bias, fresh layer queues in sweep order,
+    and an empty input history for the full-history backend.
 
     Each (out, in) matrix is lowered once, input-major and dealt onto the
     lanes of the layer that reads it, with the mode's static facts (the
@@ -141,14 +146,13 @@ class _Session:
         self.specs = validate_config(cfg)
         self.params = default_layer_params(self.specs)
 
-        def lower(w, p):
-            return _lower(mode.from_real(w), p.num_parallel_in, mode)
+        def lower(w, p, bias=None):
+            return _lower(mode.from_real(w), p.num_parallel_in, mode, bias)
 
         self.kernels = [
             (lower(k0, p), lower(k1, p)) for (k0, k1), p in zip(ws.kernels, self.params)
         ]
-        self.fc_wt = lower(ws.fc_weight.T, DEFAULT_PARALLELISM)
-        self.fc_b = mode.from_real(ws.fc_bias)
+        self.fc_wt = lower(ws.fc_weight.T, DEFAULT_PARALLELISM, mode.from_real(ws.fc_bias))
         self.layers = [LayerState.fresh(spec, dtype=mode.dtype) for spec in self.specs]
         self.history = mode.zeros((0, 1))
 
@@ -165,7 +169,7 @@ class _Session:
             cur = dilated_conv_step(layer, cur, k0, k1, p=p, mode=mode, stats=stats)
             if observe is not None:
                 observe(i, cur)
-        return matvec(self.fc_wt, cur, bias=self.fc_b, mode=mode, stats=stats)
+        return matvec(self.fc_wt, cur, mode=mode, stats=stats)
 
     def forward_naive(self, x_scalar: float, stats=None):
         """``forward`` without queues: appends the input to the history,
@@ -177,7 +181,7 @@ class _Session:
         for spec, (k0, k1), p in zip(self.specs, self.kernels, self.params):
             lin = naive_dilated_conv_sequence(act, k0, k1, spec.dilation, p=p, mode=mode, stats=stats)
             act = mode.tanh(lin)
-        return matvec(self.fc_wt, act[-1], bias=self.fc_b, mode=mode, stats=stats)
+        return matvec(self.fc_wt, act[-1], mode=mode, stats=stats)
 
 
 def _run(session: _Session, backend, forced, n: int, stats=None, logit_sink=None) -> np.ndarray:
@@ -216,6 +220,8 @@ def _check_seed(seed_samples) -> list[float]:
 
 
 def _generate(backend, cfg, ws, seed_samples, n, mode, stats, logit_sink) -> Waveform:
+    if type(n) is not int:
+        raise TypeError(f"sample count must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     seed = _check_seed(seed_samples)

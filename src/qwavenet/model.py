@@ -10,9 +10,10 @@ the last convolution output to ``quant_levels`` logits.
 This module owns the structural invariants: per-layer shapes, queue sizes,
 receptive field, and the JSON config format.  A :class:`ModelConfig` checks
 itself when built, directly, by ``dataclasses.replace`` or from JSON: every
-field is a Python ``int`` (``FxFormat``'s rule), the ranges hold and the
-filter width is 2, so a saved config always loads.  Weight storage lives in
-:mod:`qwavenet.weights`.
+field is a Python ``int`` (``FxFormat``'s rule) that fits the weight file's
+u32 header, the ranges hold and the filter width is 2, so a saved config
+always loads and every config's weights can be saved.  Weight storage lives
+in :mod:`qwavenet.weights`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ CONFIG_KEYS = (
 _MINIMUMS = {
     "num_blocks": 1, "layers_per_block": 1, "channels": 1, "quant_levels": 2, "sample_rate": 1,
 }
+_FIELD_MAX = 2**32 - 1  # the weight-file header stores every field as a u32
 
 
 class ConfigError(ValueError):
@@ -61,6 +63,8 @@ class ModelConfig:
             v = getattr(self, k)
             if type(v) is not int:
                 raise ConfigError(f"config key {k} must be an int, got {v!r}")
+            if v > _FIELD_MAX:
+                raise ConfigError(f"config key {k} must be <= {_FIELD_MAX}, got {v}")
         for k, lo in _MINIMUMS.items():
             if getattr(self, k) < lo:
                 raise ConfigError(f"{k} must be >= {lo}, got {getattr(self, k)}")

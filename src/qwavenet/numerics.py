@@ -1,16 +1,20 @@
-"""Numeric mode abstraction: the same inference code runs in double
-precision or in saturating fixed point, depending on which mode object it is
-handed.
+"""Array arithmetic: the same inference code runs in double precision or in
+saturating fixed point, depending on which mode object it is handed.
 
-A mode owns the array representation.  ``RealMode`` stores float64 values
-directly; ``FixedMode`` stores int64 raws for its :class:`~.fixedpoint.FxFormat`
-and holds its own saturating add and tanh, built on ``fixedpoint``'s rounding
-and saturation helpers.  ``from_real`` / ``to_real`` convert at the boundary;
-everything in between stays in the mode's native representation.
-``matrix_facts`` and ``mac`` are the mode's half of the engine datapath: the
-static facts kept with a lowered weight matrix, and the multiply plus
-sequential accumulation of lane-major products, whose partials the engine's
-reduction tree then combines.
+A mode owns the array representation.  ``RealMode`` stores float64 values;
+``FixedMode`` stores int64 raws of an :class:`~.fixedpoint.FxFormat` and
+holds its own saturating add and tanh.  ``native`` coerces an operand to the
+mode's representation, and ``from_real`` / ``to_real`` convert at the
+boundary; everything in between stays native.  ``matrix_facts`` and ``mac``
+are the mode's half of the engine datapath: the static facts kept with a
+lowered weight matrix and its bias, and the multiply plus sequential
+accumulation of lane-major products, whose partials the engine's reduction
+tree then combines.
+
+The raw-array operations live here too: ``quantize_real`` and ``mul_raw``,
+and the rounding, saturation and operand rules ``FixedMode`` is built from.
+They give the same bits as the exact scalar reference in
+:mod:`qwavenet.fixedpoint`.
 """
 
 from __future__ import annotations
@@ -19,19 +23,106 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import (
-    FX27_8,
-    FxFormat,
-    _as_raws,
-    _max_abs,
-    _mul_round,
-    _products_fit,
-    _round_half_away_f64,
-    _saturate_inplace,
-    _saturate_to_raws,
-    quantize_real,
-    parse_format,
-)
+from .fixedpoint import FX27_8, FxFormat, parse_format
+
+
+def _as_raws(arr):
+    """Coerce to int64 raws without changing a value: floats, which the cast
+    would truncate, and unsigned values past int64, which it would wrap into
+    the format's range, are refused.  Convert real values with ``from_real``."""
+    a = np.asarray(arr)
+    if a.dtype == np.int64:
+        return a
+    if np.issubdtype(a.dtype, np.floating):
+        raise TypeError("fixed-point ops take raw integer arrays; use from_real for real values")
+    if a.dtype.kind == "u" and int(a.max(initial=0)) > np.iinfo(np.int64).max:
+        raise ValueError(f"raw {int(a.max())} does not fit int64")
+    return a.astype(np.int64)
+
+
+def _round_half_away_f64(v):
+    """Round a float64 array to integral values, ties away from zero.
+
+    floor(|v| + 0.5) would round the sum itself, sending 0.5 - 2**-54 to 1;
+    the fraction modf splits off is exact, so compare that with one half.
+    Infinities pass through.
+    """
+    frac, r = np.modf(np.abs(v))
+    r += frac >= 0.5
+    return np.copysign(r, v)
+
+
+def quantize_real(x, fmt: FxFormat):
+    """Real array -> int64 raws; round half away from zero, then saturate.
+
+    Scaling by ``2**frac_bits`` is a float64 exponent shift, so tie detection
+    is exact for every representable input.
+    """
+    with np.errstate(over="ignore"):  # past float64 is +-inf, which saturates
+        v = np.asarray(x, dtype=np.float64) * float(1 << fmt.frac_bits)
+    if np.isnan(v).any():
+        raise ValueError("cannot quantize NaN")
+    return _saturate_to_raws(_round_half_away_f64(v), fmt)
+
+
+def _saturate_inplace(arr, fmt: FxFormat):
+    np.minimum(arr, fmt.raw_max, out=arr)
+    np.maximum(arr, fmt.raw_min, out=arr)
+    return arr
+
+
+def _saturate_to_raws(r, fmt: FxFormat):
+    """Integral float64 values or infinities -> int64 raws: the clip in place to
+    bounds of at most 32 bits is exact, and puts the one cast in range."""
+    return _saturate_inplace(r, fmt).astype(np.int64)
+
+
+def mul_raw(a, b, fmt: FxFormat):
+    """Saturating multiply of raw arrays.
+
+    Operands follow the engine's rule (``_as_raws``): floats and raws outside
+    the format range are refused.  Full int64 product, then ``_mul_round``,
+    then clip.
+    """
+    a = _as_raws(a)
+    b = _as_raws(b)
+    _max_abs(a, fmt)
+    _max_abs(b, fmt)
+    return _saturate_inplace(_mul_round(a, b, fmt.frac_bits), fmt)
+
+
+def _mul_round(a, b, f: int):
+    """int64 product shifted right by ``f``, rounded half away from zero; no clip.
+
+    Rounding uses the branch-free two's-complement identity: adding half-1
+    instead of half before the arithmetic shift when the product is negative
+    (p >> 63 is -1 exactly then) lands on round-half-away for both signs.
+    """
+    p = a * b
+    if f:
+        offset = p >> 63
+        offset += 1 << (f - 1)
+        p += offset
+        p >>= f
+    return p
+
+
+def _products_fit(a_max: int, b_max: int, fmt: FxFormat) -> bool:
+    """Whether every rounded product of magnitudes up to a_max, b_max is in range."""
+    f = fmt.frac_bits
+    return (a_max * b_max + ((1 << f) >> 1)) >> f <= fmt.raw_max
+
+
+def _max_abs(arr, fmt: FxFormat) -> int:
+    """Largest |raw| of an int64 array; a raw outside the format range is refused,
+    as ``FxValue`` refuses it, since its products could wrap int64."""
+    hi, lo = int(arr.max(initial=0)), int(arr.min(initial=0))
+    if hi > fmt.raw_max or lo < fmt.raw_min:
+        raise ValueError(
+            f"raw {hi if hi > fmt.raw_max else lo} out of range for {fmt} "
+            f"[{fmt.raw_min}, {fmt.raw_max}]"
+        )
+    return max(hi, -lo)
 
 
 @dataclass(frozen=True)
@@ -41,11 +132,10 @@ class RealMode:
     name = "real"
     dtype = np.float64
 
-    def from_real(self, x):
+    def native(self, x):
         return np.asarray(x, dtype=np.float64)
 
-    def to_real(self, x):
-        return np.asarray(x, dtype=np.float64)
+    from_real = to_real = native
 
     def zeros(self, shape):
         return np.zeros(shape, dtype=np.float64)
@@ -56,7 +146,7 @@ class RealMode:
     def tanh(self, x):
         return np.tanh(x)
 
-    def matrix_facts(self, wd):
+    def matrix_facts(self, wd, bias):
         """Real arithmetic needs no static facts about a matrix."""
         return None
 
@@ -89,6 +179,8 @@ class FixedMode:
     name = "fixed"
     dtype = np.int64
 
+    native = staticmethod(_as_raws)
+
     def from_real(self, x):
         return quantize_real(x, self.fmt)
 
@@ -112,11 +204,14 @@ class FixedMode:
         r = _round_half_away_f64(np.tanh(_as_raws(x) / scale) * scale)
         return _saturate_to_raws(r, self.fmt)
 
-    def matrix_facts(self, wd):
+    def matrix_facts(self, wd, bias):
         """(S_max, w_max) of dealt weight raws: the largest row sum of |W_raw|
-        and the largest |W_raw|, as Python ints.  Raws outside the format
-        range are refused."""
+        and the largest |W_raw|, as Python ints.  Weight and bias raws outside
+        the format range are refused: ``add``'s int64 add would wrap such a
+        bias raw."""
         w_max = _max_abs(wd, self.fmt)
+        if bias is not None:
+            _max_abs(bias, self.fmt)
         return int(np.abs(wd).sum(axis=(0, 1)).max(initial=0)), w_max
 
     def row_bound(self, w, m: int) -> int:

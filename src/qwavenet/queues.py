@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import DEFAULT_PARALLELISM, ShapeMismatchError, matvec, matvec_cols
-from .fixedpoint import _as_raws
 from .model import LayerSpec
-from .numerics import RealMode
+from .numerics import RealMode, _as_raws
 
 _REAL = RealMode()
 

@@ -12,7 +12,7 @@ import wave
 
 import numpy as np
 
-from .fixedpoint import _round_half_away_f64
+from .numerics import _round_half_away_f64
 
 BIT_DEPTH = 16
 CHANNELS = 1

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwavenet import (
+    DEFAULT_PARALLELISM,
     FX27_8,
     FixedMode,
     FxFormat,
@@ -235,6 +236,7 @@ def test_matvec_real_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_b
     want = scalar_matvec(W.tolist(), x.tolist(), None if b is None else b.tolist(), p, add, mul, zero)
     assert got.tolist() == want
     assert matvec(input_major(W), x, bias=b, p=p).tolist() == want
+    assert matvec(_lower(W, p.num_parallel_in, RealMode(), b), x, p=p).tolist() == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,6 +269,7 @@ def test_matvec_fixed_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_
     )
     assert got.tolist() == want
     assert matvec(input_major(W), x, bias=b, p=p, mode=mode).tolist() == want
+    assert matvec(_lower(W, p.num_parallel_in, mode, b), x, p=p, mode=mode).tolist() == want
 
 
 def test_matvec_rejects_bad_shapes():
@@ -334,6 +337,50 @@ def test_lowered_matrix_refuses_another_mode_or_lane_count():
         matvec(lowered, np.ones(8, dtype=np.int64), mode=FixedMode())
     with pytest.raises(ValueError):
         matvec(_lower(W.astype(np.int64), 4, FixedMode(FX16_3)), np.ones(8, np.int64), mode=FixedMode())
+
+
+def test_lowered_matrix_refuses_another_bias():
+    """A lowered matrix carries its bias; a second one would be ambiguous."""
+    W, b = np.ones((2, 4)), np.ones(2)
+    for lowered in (_lower(W, 4, RealMode()), _lower(W, 4, RealMode(), b)):
+        with pytest.raises(ValueError, match="bias"):
+            matvec(lowered, np.ones(4), bias=b)
+        with pytest.raises(ValueError, match="bias"):
+            matvec_cols(lowered, np.ones((4, 3)), bias=b)
+    assert matvec(_lower(W, 4, RealMode(), b), np.ones(4)).tolist() == [5.0, 5.0]
+
+
+def test_lower_checks_the_bias_once():
+    """The bias is coerced, shape-checked and range-checked when lowered."""
+    m = FixedMode()
+    lo, hi = FX27_8.raw_min, FX27_8.raw_max
+    W = np.array([[1, 1]])
+    for bad in (hi + 1, lo - 1, 2**63 - 1):
+        with pytest.raises(ValueError, match="out of range"):
+            _lower(W, 1, m, np.array([bad]))
+    with pytest.raises(ShapeMismatchError):
+        _lower(W, 1, m, np.array([1, 2]))
+    with pytest.raises(TypeError):
+        _lower(W, 1, m, np.array([0.5]))
+    lowered = _lower(W, 1, m, np.array([lo]))
+    out = matvec(lowered, np.zeros(2, np.int64), p=ParallelismParams(1, 1), mode=m)
+    assert out.tolist() == [lo]
+
+
+@pytest.mark.parametrize("mode", [RealMode(), FixedMode(FX16_3)], ids=str)
+def test_matrix_lowered_with_its_bias_matches_plain_matvec(mode):
+    """The session's FC path: a matrix lowered once with its bias gives the
+    bits of the plain matvec with that bias, column by column.  Values span
+    +-4, so in fixed<16,3> the products, sums and bias add saturate."""
+    rng = np.random.default_rng(5)
+    shapes = ((1, 1), (7, 37), (16, 128))
+    for (M, N), p in product(shapes, (ParallelismParams(1, 1), ParallelismParams(8, 4))):
+        W, X, b = (mode.from_real(rng.uniform(-4, 4, s)) for s in ((M, N), (N, 6), M))
+        lowered = _lower(W, p.num_parallel_in, mode, b)
+        want = matvec_cols(W, X, bias=b, p=p, mode=mode)
+        assert np.array_equal(matvec_cols(lowered, X, p=p, mode=mode), want)
+        for t in range(X.shape[1]):
+            assert np.array_equal(matvec(lowered, X[:, t], p=p, mode=mode), want[:, t])
 
 
 def rows_with_abs_sums(rng, sums, n, cap):
@@ -508,6 +555,13 @@ def test_estimate_cycles_rejects_bad_dims():
         estimate_cycles(0, 4, ParallelismParams(1, 1))
     with pytest.raises(ValueError):
         estimate_cycles(4, 0, ParallelismParams(1, 1))
+
+
+@pytest.mark.parametrize("M, N", [(2.5, 128), (128, 4.0), (True, True), (np.int64(8), 4), ("8", 4)])
+def test_estimate_cycles_takes_int_dims_only(M, N):
+    # (2.5, 128) would give mac_count 320.0, and (True, True) mac_count 1
+    with pytest.raises(TypeError, match="must be ints"):
+        estimate_cycles(M, N, DEFAULT_PARALLELISM)
 
 
 def test_parallelism_params_validation():

@@ -75,6 +75,15 @@ def test_quantize_validation():
         dequantize(-1, 256)
 
 
+@pytest.mark.parametrize("levels", [16.5, 256.0, True, np.int64(256)])
+def test_quantize_takes_int_levels_only(levels):
+    # 16.5 levels would put bin 3 at -0.6129 and 0.3 on bin 10, off any lattice
+    with pytest.raises(TypeError, match="levels"):
+        quantize(0.3, levels)
+    with pytest.raises(TypeError, match="levels"):
+        dequantize(3, levels)
+
+
 @pytest.mark.parametrize("bins", [2.5, np.array([1.5])], ids=["scalar", "array"])
 def test_dequantize_rejects_non_integer_bins(bins):
     # 2.5 would map to -0.2857, between the lattice points -0.4286 and -0.1429
@@ -202,6 +211,15 @@ def test_generate_validation():
         generate(TINY, ws, n=0)
     with pytest.raises(ValueError):
         generate(TINY, ws, seed_samples=np.array([1.5]), n=1)
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.int64(3)])
+def test_generate_takes_int_sample_count_only(n):
+    # n=True would emit one sample, and n=2.5 fail deep inside numpy
+    ws = random_weights(TINY, seed=3)
+    for gen in (generate, generate_naive):
+        with pytest.raises(TypeError, match="sample count"):
+            gen(TINY, ws, n=n)
 
 
 def test_generate_seed_drives_queues():

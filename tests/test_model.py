@@ -94,6 +94,8 @@ def test_layer_table_invariants(cfg):
         ("channels", 0),
         ("quant_levels", 1),
         ("sample_rate", 0),
+        # the weight-file header stores every field as a u32
+        *((k, 2**32) for k in CONFIG_KEYS),
     ],
 )
 def test_validate_config_rejects(field, value):

@@ -116,6 +116,18 @@ def test_load_rejects_trailing_bytes(tmp_path):
         load_weights(path, CFG)
 
 
+def test_largest_header_field_saves_and_loads(tmp_path):
+    # 2**32 - 1 is the largest value the u32 header holds; 2**32 never builds
+    cfg = ModelConfig(num_blocks=1, layers_per_block=1, channels=1, sample_rate=2**32 - 1)
+    ws = random_weights(cfg, seed=7)
+    path = tmp_path / "w.bin"
+    save_weights(path, ws, cfg)
+    back = load_weights(path, cfg)
+    assert np.array_equal(back.fc_weight, ws.fc_weight)
+    assert np.array_equal(back.fc_bias, ws.fc_bias)
+    assert np.array_equal(back.kernels[0][1], ws.kernels[0][1])
+
+
 def test_load_rejects_config_mismatch(tmp_path):
     path = tmp_path / "w.bin"
     save_weights(path, random_weights(CFG, seed=7), CFG)
