@@ -9,7 +9,7 @@ deterministic.
 
 One step loop runs every driver.  Its inputs come in two phases: a forced
 sequence first, then samples fed back from the model's own argmax.  Its
-backend is one of two network passes:
+backend is one of two network passes, called as ``backend(session, x)``:
 
 * ``_Session.forward`` — the queue path, O(layers) matvecs per sample;
 * ``_Session.forward_naive`` — recomputes every layer activation from the
@@ -24,7 +24,8 @@ error from autoregressive divergence when comparing numeric modes.
 
 Seed samples warm the queues before generation: their argmax outputs are
 discarded except the last, which becomes the first generation input.  An
-empty seed means a single zero sample.
+empty seed means a single zero sample.  Seeds and forced inputs pass one
+check: a 1-D sequence of reals in [-1, 1].
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .queues import LayerState, dilated_conv_step, naive_dilated_conv_sequence
 from .weights import WeightSet
 
 _REAL = RealMode()
-
-SCALAR_PARALLELISM = ParallelismParams(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ def default_layer_params(layer_specs) -> tuple[ParallelismParams, ...]:
     """Per-layer engine parallelism: (8, 4) everywhere except single-channel
     input layers, where there is nothing to partition — those get (1, 1)."""
     return tuple(
-        SCALAR_PARALLELISM if spec.in_channels == 1 else DEFAULT_PARALLELISM
+        ParallelismParams(1, 1) if spec.in_channels == 1 else DEFAULT_PARALLELISM
         for spec in layer_specs
     )
 
@@ -130,7 +129,8 @@ def default_layer_params(layer_specs) -> tuple[ParallelismParams, ...]:
 class _Session:
     """A configured model lowered into one numeric mode: native-format
     kernels and FC weight with its bias, fresh layer queues in sweep order,
-    and an empty input history for the full-history backend.
+    an empty input history for the full-history backend, and the run's
+    ``OpStats`` counter, if any, which every matvec of the session records to.
 
     Each (out, in) matrix is lowered once, input-major and dealt onto the
     lanes of the layer that reads it, with the mode's static facts (the
@@ -139,10 +139,11 @@ class _Session:
     ``DEFAULT_PARALLELISM``.
     """
 
-    def __init__(self, cfg: ModelConfig, ws: WeightSet, mode):
+    def __init__(self, cfg: ModelConfig, ws: WeightSet, mode, stats=None):
         ws.validate(cfg)
         self.cfg = cfg
         self.mode = mode
+        self.stats = stats
         self.specs = validate_config(cfg)
         self.params = default_layer_params(self.specs)
 
@@ -156,14 +157,14 @@ class _Session:
         self.layers = [LayerState.fresh(spec, dtype=mode.dtype) for spec in self.specs]
         self.history = mode.zeros((0, 1))
 
-    def forward(self, x_scalar: float, stats=None, observe=None):
+    def forward(self, x_scalar: float, observe=None):
         """One full network pass on a scalar input; returns native logits.
 
         Every queue receives exactly one push.  When given, ``observe(i, out)``
         is called after each layer, in sweep order, with the layer's index
         and its output in the mode's native representation.
         """
-        mode = self.mode
+        mode, stats = self.mode, self.stats
         cur = mode.from_real(np.array([x_scalar], dtype=np.float64))
         for i, (layer, (k0, k1), p) in enumerate(zip(self.layers, self.kernels, self.params)):
             cur = dilated_conv_step(layer, cur, k0, k1, p=p, mode=mode, stats=stats)
@@ -171,11 +172,11 @@ class _Session:
                 observe(i, cur)
         return matvec(self.fc_wt, cur, mode=mode, stats=stats)
 
-    def forward_naive(self, x_scalar: float, stats=None):
+    def forward_naive(self, x_scalar: float):
         """``forward`` without queues: appends the input to the history,
         re-evaluates the whole layer stack over it, and projects the newest
         activation."""
-        mode = self.mode
+        mode, stats = self.mode, self.stats
         step_in = mode.from_real(np.array([[x_scalar]], dtype=np.float64))
         self.history = act = np.concatenate([self.history, step_in], axis=0)
         for spec, (k0, k1), p in zip(self.specs, self.kernels, self.params):
@@ -184,13 +185,13 @@ class _Session:
         return matvec(self.fc_wt, act[-1], mode=mode, stats=stats)
 
 
-def _run(session: _Session, backend, forced, n: int, stats=None, logit_sink=None) -> np.ndarray:
+def _run(session: _Session, backend, forced, n: int, logit_sink=None) -> np.ndarray:
     """The step loop every driver runs; returns the argmax bin of each step.
 
     Step t's input is ``forced[t]`` for the forced steps, then the
     dequantized bin of step t - 1 for ``n`` fed-back steps.  ``backend`` is
     the network pass, ``_Session.forward`` or ``_Session.forward_naive``,
-    called as ``backend(session, x, stats)``.  When ``logit_sink`` is a list,
+    called as ``backend(session, x)``.  When ``logit_sink`` is a list,
     the real-valued logits of every fed-back step are appended to it.
     """
     levels = session.cfg.quant_levels
@@ -199,24 +200,22 @@ def _run(session: _Session, backend, forced, n: int, stats=None, logit_sink=None
     b = None
     for t in range(bins.size):
         x = forced[t] if t < n_forced else dequantize(b, levels)
-        logits = backend(session, x, stats)
+        logits = backend(session, x)
         if logit_sink is not None and t >= n_forced:
             logit_sink.append(session.mode.to_real(logits))
         b = bins[t] = argmax_sample(logits)
     return bins
 
 
-def _check_in_range(samples, what: str) -> None:
-    """Refuse samples outside [-1, 1]; NaN fails both bounds, so it is refused too."""
+def _check_samples(samples, what: str) -> np.ndarray:
+    """``samples`` as float64, refused unless a 1-D sequence of values in
+    [-1, 1]; NaN fails both bounds, so it is refused too."""
     samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D sample sequence, got shape {samples.shape}")
     if not ((samples >= -1.0) & (samples <= 1.0)).all():
         raise ValueError(f"{what} must lie in [-1, 1]")
-
-
-def _check_seed(seed_samples) -> list[float]:
-    seed = [float(s) for s in (seed_samples if seed_samples is not None else [])]
-    _check_in_range(seed, "seed samples")
-    return seed or [0.0]
+    return samples
 
 
 def _generate(backend, cfg, ws, seed_samples, n, mode, stats, logit_sink) -> Waveform:
@@ -224,8 +223,9 @@ def _generate(backend, cfg, ws, seed_samples, n, mode, stats, logit_sink) -> Wav
         raise TypeError(f"sample count must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    seed = _check_seed(seed_samples)
-    bins = _run(_Session(cfg, ws, mode), backend, seed, n, stats, logit_sink)[len(seed):]
+    seed = _check_samples([] if seed_samples is None else seed_samples, "seed samples")
+    seed = seed if seed.size else np.zeros(1)
+    bins = _run(_Session(cfg, ws, mode, stats), backend, seed, n, logit_sink)[len(seed):]
     return Waveform(
         samples=dequantize(bins, cfg.quant_levels), bins=bins, sample_rate=cfg.sample_rate
     )
@@ -301,17 +301,15 @@ def teacher_forced_layer_outputs(
     inputs,
     mode=_REAL,
     record_layers=None,
-    stats=None,
 ) -> TeacherForcedTrace:
     """Drive the network with ``inputs`` (no feedback), recording activations.
 
     ``record_layers`` limits which global layer indices, integers, are traced
     (all by default); traces are returned in the real domain whatever the mode.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 1 or inputs.size == 0:
-        raise ValueError("inputs must be a non-empty 1-D sample sequence")
-    _check_in_range(inputs, "input samples")
+    inputs = _check_samples(inputs, "input samples")
+    if inputs.size == 0:
+        raise ValueError("input samples must not be empty")
 
     session = _Session(cfg, ws, mode)
     n_layers = len(session.specs)
@@ -334,5 +332,5 @@ def teacher_forced_layer_outputs(
         if i in rows:
             next(rows[i])[:] = mode.to_real(out)
 
-    bins = _run(session, partial(_Session.forward, observe=record), inputs, 0, stats)
+    bins = _run(session, partial(_Session.forward, observe=record), inputs, 0)
     return TeacherForcedTrace(layer_outputs, bins, dequantize(bins, cfg.quant_levels))

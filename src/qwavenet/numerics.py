@@ -129,7 +129,6 @@ def _max_abs(arr, fmt: FxFormat) -> int:
 class RealMode:
     """Double-precision arithmetic; arrays are plain float64."""
 
-    name = "real"
     dtype = np.float64
 
     def native(self, x):
@@ -166,7 +165,7 @@ class RealMode:
         return np.add.reduce(products, axis=0)
 
     def __str__(self) -> str:
-        return self.name
+        return "real"
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,6 @@ class FixedMode:
 
     fmt: FxFormat = FX27_8
 
-    name = "fixed"
     dtype = np.int64
 
     native = staticmethod(_as_raws)

@@ -62,9 +62,6 @@ class CyclicQueue:
         self.storage[self.head] = v
         self.head = (self.head + 1) % self.length
 
-    def __repr__(self) -> str:
-        return f"CyclicQueue(length={self.length}, channels={self.channels}, head={self.head})"
-
 
 @dataclass
 class LayerState:
@@ -93,15 +90,6 @@ def dilated_conv_step(
     return out
 
 
-def _delayed_history(history, dilation: int):
-    """history shifted down by ``dilation`` rows, zero-padded at the start."""
-    t, channels = history.shape
-    pad = np.zeros((min(dilation, t), channels), dtype=history.dtype)
-    if dilation >= t:
-        return pad
-    return np.concatenate([pad, history[:-dilation]], axis=0)
-
-
 def naive_dilated_conv_sequence(
     history, k0, k1, dilation: int, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None
 ):
@@ -116,6 +104,8 @@ def naive_dilated_conv_sequence(
     history = np.asarray(history)
     if history.ndim != 2 or history.shape[0] < 1:
         raise ShapeMismatchError(f"history must be (T >= 1, channels), got {history.shape}")
-    delayed = matvec_cols(k0, _delayed_history(history, dilation).T, p=p, mode=mode, stats=stats)
+    delayed = np.zeros_like(history)
+    delayed[dilation:] = history[: max(history.shape[0] - dilation, 0)]
+    delayed = matvec_cols(k0, delayed.T, p=p, mode=mode, stats=stats)
     current = matvec_cols(k1, history.T, p=p, mode=mode, stats=stats)
     return mode.add(delayed, current).T

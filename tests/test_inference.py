@@ -232,11 +232,11 @@ def test_generate_seed_drives_queues():
         sess = _Session(TINY, ws, RealMode())
         feed = [0.0] if seed_len == 0 else list(seed)
         for x in feed:
-            sess.forward(float(x), None)
+            sess.forward(float(x))
         n = 11
         x = 0.25
         for _ in range(n):
-            logits = sess.forward(x, None)
+            logits = sess.forward(x)
             x = dequantize(argmax_sample(logits), TINY.quant_levels)
         total = len(feed) + n
         for st_ in sess.layers:
@@ -442,6 +442,18 @@ def test_forced_and_seed_samples_refuse_nan(mode):
         teacher_forced_layer_outputs(cfg, ws, np.array([0.0, np.nan]), mode=mode)
     with pytest.raises(ValueError, match=r"seed samples must lie in \[-1, 1\]"):
         generate(cfg, ws, seed_samples=[np.nan], n=1, mode=mode)
+
+
+def test_seed_and_forced_samples_must_be_one_dimensional():
+    # seeds and forced inputs pass the same check
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
+    ws = random_weights(cfg, seed=1)
+    flat = np.zeros((2, 2))
+    for gen in (generate, generate_naive):
+        with pytest.raises(ValueError, match="seed samples must be a 1-D sample sequence"):
+            gen(cfg, ws, seed_samples=flat, n=1)
+    with pytest.raises(ValueError, match="input samples must be a 1-D sample sequence"):
+        teacher_forced_layer_outputs(cfg, ws, flat)
 
 
 def test_fixed_point_deviation_grows_slowly_with_depth():

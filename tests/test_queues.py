@@ -185,8 +185,12 @@ def test_naive_conv_reads_delayed_and_current():
     hist = np.array([[1.0], [2.0], [3.0]])
     # at t=2 with dilation 2: K0 @ x_0 + K1 @ x_2
     assert naive_dilated_conv_sequence(hist, k0, k1, dilation=2, p=P11)[-1, 0] == 1.0 + 30.0
-    # dilation beyond the history start reads the zero padding
-    assert naive_dilated_conv_sequence(hist, k0, k1, dilation=4, p=P11)[-1, 0] == 30.0
+    # dilation 1 reads the row before
+    assert naive_dilated_conv_sequence(hist, k0, k1, dilation=1, p=P11)[-1, 0] == 2.0 + 30.0
+    # dilation at or beyond the history length reads only the zero padding
+    for dilation in (3, 4):
+        seq = naive_dilated_conv_sequence(hist, k0, k1, dilation=dilation, p=P11)
+        assert seq[:, 0].tolist() == [10.0, 20.0, 30.0]
 
 
 @pytest.mark.parametrize("rows", [1, 3])
