@@ -1,9 +1,9 @@
 """Queue-cached autoregressive WaveNet inference.
 
 Sample-by-sample generation through a stack of width-2 dilated causal
-convolution layers, where each layer's past inputs live in a fixed-length
-cyclic queue so one emitted sample costs a constant number of matrix-vector
-products.  Arithmetic runs either in double precision or in a configurable
+convolution layers, where each layer keeps its delayed tap's products of
+its recent inputs in a fixed-length ring so one emitted sample costs a
+constant number of matrix-vector products.  Arithmetic runs either in double precision or in a configurable
 saturating fixed-point format; an analytic cycle cost model covers the
 matvec engine's parallelism parameters.
 """

@@ -12,8 +12,8 @@ in real or fixed-point mode, regardless of how the work is batched.
 
 ``matvec_cols`` is the one evaluation path; ``matvec`` is its one-column
 case.  W is a plain (M, N) array, lowered with its bias on every call, or a
-matrix lowered once with its bias (``_Session`` keeps one per kernel and for
-the FC weight): the native weights dealt lane-major, ``(chunks, p_in,
+matrix lowered once with its bias (``_Session`` keeps one per layer's
+stacked taps and one for the FC weight): the native weights dealt lane-major, ``(chunks, p_in,
 rows)``, plus the mode's static facts about them.  Both forms run the same
 kernel, which knows no number type: the mode supplies native operands and
 the arithmetic.  Products are laid out

@@ -1,17 +1,19 @@
 """Autoregressive sample-by-sample generation.
 
 One time step is: scalar input -> layer sweep (every dilated layer in
-block-major order, each reading its queue and pushing its input) -> fully
-connected projection to one logit per quantization bin -> argmax -> dequantize
--> feed the result back as the next input.  Softmax is skipped entirely:
-argmax of logits equals argmax of softmax(logits) and keeps generation
-deterministic.
+block-major order applies both taps to its input in one stacked matvec, adds
+the delayed tap's product of its input from d steps ago, kept in its ring,
+and rings the new one) -> fully connected projection to one logit per
+quantization bin -> argmax -> dequantize -> feed the result back as the next
+input.  Softmax is skipped entirely: argmax of logits equals argmax of
+softmax(logits) and keeps generation deterministic.
 
 One step loop runs every driver.  Its inputs come in two phases: a forced
 sequence first, then samples fed back from the model's own argmax.  Its
 backend is one of two network passes, called as ``backend(session, x)``:
 
-* ``_Session.forward`` — the queue path, O(layers) matvecs per sample;
+* ``_Session.forward`` — the queue path, O(layers) matvecs per sample, one
+  engine call per layer plus the readout;
 * ``_Session.forward_naive`` — recomputes every layer activation from the
   full input history each step (no queues).  Its per-sample cost grows with
   time; it exists as the reference the queue path must match exactly.
@@ -22,7 +24,7 @@ path.  ``teacher_forced_layer_outputs`` forces a given input sequence and
 feeds nothing back, recording layer activations, which isolates arithmetic
 error from autoregressive divergence when comparing numeric modes.
 
-Seed samples warm the queues before generation: their argmax outputs are
+Seed samples warm the rings before generation: their argmax outputs are
 discarded except the last, which becomes the first generation input.  An
 empty seed means a single zero sample.  Seeds and forced inputs pass one
 check: a 1-D sequence of reals in [-1, 1].
@@ -31,14 +33,14 @@ check: a 1-D sequence of reals in [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .engine import DEFAULT_PARALLELISM, ParallelismParams, _lower, matvec
 from .model import ModelConfig, validate_config
 from .numerics import FixedMode, RealMode, _round_half_away_f64
-from .queues import LayerState, dilated_conv_step, naive_dilated_conv_sequence
+from .queues import naive_dilated_conv_sequence
 from .weights import WeightSet
 
 _REAL = RealMode()
@@ -128,48 +130,88 @@ def default_layer_params(layer_specs) -> tuple[ParallelismParams, ...]:
 
 class _Session:
     """A configured model lowered into one numeric mode: native-format
-    kernels and FC weight with its bias, fresh layer queues in sweep order,
-    an empty input history for the full-history backend, and the run's
-    ``OpStats`` counter, if any, which every matvec of the session records to.
+    layer matrices and FC weight with its bias, one zeroed product ring per
+    layer in sweep order, a step count, an empty input history for the
+    full-history backend, and the run's ``OpStats`` counter, if any, which
+    every matvec of the session records to.
 
     Each (out, in) matrix is lowered once, input-major and dealt onto the
     lanes of the layer that reads it, with the mode's static facts (the
     engine's lowered-matrix record); no matvec copies a weight or rescans
     it.  Layers run at ``default_layer_params``, the FC layer at
-    ``DEFAULT_PARALLELISM``.
+    ``DEFAULT_PARALLELISM``.  Each backend lowers only what it reads:
+    ``forward`` a layer's stacked taps [k1; k0], ``forward_naive`` its
+    (k0, k1) pair.
+
+    Layer i's ring holds d = dilation rows of k0 products, one per input
+    the layer received in the last d steps (zeros before that), so a layer
+    with one input channel keeps out_channels values per row, not one.
+    Every ring advances once per step, so the one step count indexes them
+    all: at step t, row t mod d holds k0 times the input from d steps ago.
     """
 
     def __init__(self, cfg: ModelConfig, ws: WeightSet, mode, stats=None):
         ws.validate(cfg)
         self.cfg = cfg
+        self.ws = ws
         self.mode = mode
         self.stats = stats
         self.specs = validate_config(cfg)
         self.params = default_layer_params(self.specs)
-
-        def lower(w, p, bias=None):
-            return _lower(mode.from_real(w), p.num_parallel_in, mode, bias)
-
-        self.kernels = [
-            (lower(k0, p), lower(k1, p)) for (k0, k1), p in zip(ws.kernels, self.params)
-        ]
-        self.fc_wt = lower(ws.fc_weight.T, DEFAULT_PARALLELISM, mode.from_real(ws.fc_bias))
-        self.layers = [LayerState.fresh(spec, dtype=mode.dtype) for spec in self.specs]
+        self.fc_wt = self._lower_real(
+            ws.fc_weight.T, DEFAULT_PARALLELISM, mode.from_real(ws.fc_bias)
+        )
+        self.rings = [mode.zeros((s.dilation, s.out_channels)) for s in self.specs]
+        self.steps = 0
         self.history = mode.zeros((0, 1))
+
+    def _lower_real(self, w, p, bias=None):
+        return _lower(self.mode.from_real(w), p.num_parallel_in, self.mode, bias)
+
+    @cached_property
+    def taps(self):
+        """Per layer, [k1; k0] lowered as one (2·out, in) matrix.  Each half is
+        converted on its own, which keeps lowering's temporaries, and so its
+        peak memory, at one kernel's size."""
+        mode = self.mode
+        return [
+            _lower(
+                np.concatenate([mode.from_real(k1), mode.from_real(k0)]), p.num_parallel_in, mode
+            )
+            for (k0, k1), p in zip(self.ws.kernels, self.params)
+        ]
+
+    @cached_property
+    def kernels(self):
+        """Per layer, the lowered (k0, k1) pair the full-history pass reads."""
+        return [
+            (self._lower_real(k0, p), self._lower_real(k1, p))
+            for (k0, k1), p in zip(self.ws.kernels, self.params)
+        ]
 
     def forward(self, x_scalar: float, observe=None):
         """One full network pass on a scalar input; returns native logits.
 
-        Every queue receives exactly one push.  When given, ``observe(i, out)``
-        is called after each layer, in sweep order, with the layer's index
-        and its output in the mode's native representation.
+        Each layer makes one stacked matvec on its input: the k1 half adds to
+        the ring row written d steps ago, and the k0 half takes that row's
+        place.  Engine rows are independent lanes, so each half has its own
+        matvec's bits, and the call counts as two matvecs.  When given,
+        ``observe(i, out)`` is called after each layer, in sweep order, with
+        the layer's index and its output in the mode's native representation.
         """
-        mode, stats = self.mode, self.stats
+        mode, stats, t = self.mode, self.stats, self.steps
         cur = mode.from_real(np.array([x_scalar], dtype=np.float64))
-        for i, (layer, (k0, k1), p) in enumerate(zip(self.layers, self.kernels, self.params)):
-            cur = dilated_conv_step(layer, cur, k0, k1, p=p, mode=mode, stats=stats)
+        for i, (taps, ring, p) in enumerate(zip(self.taps, self.rings, self.params)):
+            both = matvec(taps, cur, p=p, mode=mode)
+            rows = ring.shape[1]
+            if stats is not None:
+                stats.record(rows, taps.shape[1], 2)
+            row = ring[t % ring.shape[0]]
+            cur = mode.tanh(mode.add(row, both[:rows]))
+            row[:] = both[rows:]
             if observe is not None:
                 observe(i, cur)
+        self.steps = t + 1
         return matvec(self.fc_wt, cur, mode=mode, stats=stats)
 
     def forward_naive(self, x_scalar: float):
@@ -268,16 +310,18 @@ def generate_naive(
 
 
 def static_headroom(cfg: ModelConfig, ws: WeightSet, mode) -> list[float]:
-    """Per layer, in sweep order, for a fixed-point ``mode``: the larger
-    ``FixedMode.row_bound`` of its two kernels at inputs |x| <= 1, as a share
+    """Per layer, in sweep order, for a fixed-point ``mode``: the
+    ``FixedMode.row_bound`` of its stacked taps at inputs |x| <= 1, as a share
     of raw_max, read from the facts a session caches when it lowers them.
-    Below 1, no matvec of the layer can saturate on inputs in [-1, 1]."""
+    The stack's S_max is the larger of its two kernels', so this is the
+    larger of their bounds.  Below 1, no matvec of the layer can saturate on
+    inputs in [-1, 1]."""
     if not isinstance(mode, FixedMode):
         raise TypeError(f"static_headroom needs a fixed-point mode, got {mode}")
     fmt = mode.fmt
     return [
-        max(mode.row_bound(k, 1 << fmt.frac_bits) for k in pair) / fmt.raw_max
-        for pair in _Session(cfg, ws, mode).kernels
+        mode.row_bound(taps, 1 << fmt.frac_bits) / fmt.raw_max
+        for taps in _Session(cfg, ws, mode).taps
     ]
 
 

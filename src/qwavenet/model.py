@@ -131,7 +131,13 @@ class QueueMemory:
 
 
 def estimate_queue_memory(cfg: ModelConfig) -> QueueMemory:
-    """Element counts of every activation queue (block-major order)."""
+    """Element counts of every activation queue (block-major order).
+
+    These are the input queues of ``dilated_conv_step``, ``in_channels`` per
+    row.  ``generate`` keeps its delayed tap's products instead,
+    ``out_channels`` per row, which differs only for a one-channel input
+    layer: the default model's sessions hold 4194048 elements, not 4193921.
+    """
     specs = validate_config(cfg)
     per_layer = tuple(s.queue_elems for s in specs)
     return QueueMemory(per_layer=per_layer, total=sum(per_layer))

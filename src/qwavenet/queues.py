@@ -1,10 +1,13 @@
-"""Per-layer cyclic queues and the dilated causal convolution step.
+"""Per-layer cyclic input queues, the dilated causal convolution step on
+them, and the same convolution over a full history.
 
 A layer with dilation d needs its input from d steps ago.  Instead of keeping
-the whole history, each layer owns a ring buffer of exactly d rows: the slot
-at ``head`` is the oldest entry (the d-steps-delayed input), and one
-generation step does a single overwrite-and-advance — pop and push fused,
-never a shift.
+the whole history, ``dilated_conv_step`` gives each layer a ring buffer of
+exactly d input rows: the slot at ``head`` is the oldest entry (the
+d-steps-delayed input), and one step does a single overwrite-and-advance —
+pop and push fused, never a shift — around two matvecs.  This input-queue
+step is the reference the benchmark's loop and the tests build from;
+``generate`` keeps the delayed tap's products instead (``inference``).
 
 ``naive_dilated_conv_sequence`` evaluates the same convolution directly from
 a full input history.  It exists as the reference path: queue-based and

@@ -5,24 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_configs
 from qwavenet import (
+    DEFAULT_PARALLELISM,
     FixedMode,
+    LayerState,
     ModelConfig,
     OpStats,
     ParallelismParams,
     RealMode,
     WeightSet,
     argmax_sample,
+    default_layer_params,
     dequantize,
+    dilated_conv_step,
     generate,
     generate_naive,
     matvec,
+    parse_mode,
     quantize,
     random_weights,
     teacher_forced_layer_outputs,
     validate_config,
 )
-from qwavenet.inference import static_headroom
+from qwavenet.engine import _lower
+from qwavenet.inference import _Session, static_headroom
 from qwavenet.queues import naive_dilated_conv_sequence
 
 TINY = ModelConfig(num_blocks=1, layers_per_block=4, channels=8)
@@ -223,10 +230,10 @@ def test_generate_takes_int_sample_count_only(n):
 
 
 def test_generate_seed_drives_queues():
-    # queue heads advance once per seed sample and once per emitted sample
+    # the step count advances once per seed sample and once per emitted
+    # sample, and each ring's last-written row holds k0 times the last input
+    # its layer received
     ws = random_weights(TINY, seed=3)
-    from qwavenet.inference import _Session
-
     for seed_len in (0, 1, 3, 7):
         seed = np.linspace(-0.5, 0.5, seed_len) if seed_len else None
         sess = _Session(TINY, ws, RealMode())
@@ -236,11 +243,14 @@ def test_generate_seed_drives_queues():
         n = 11
         x = 0.25
         for _ in range(n):
-            logits = sess.forward(x)
+            inputs = [np.array([x])]
+            logits = sess.forward(x, observe=lambda i, out: inputs.append(out))
             x = dequantize(argmax_sample(logits), TINY.quant_levels)
         total = len(feed) + n
-        for st_ in sess.layers:
-            assert st_.queue.head == total % st_.queue.length
+        assert sess.steps == total
+        for ring, (k0, _), p, x_in in zip(sess.rings, sess.kernels, sess.params, inputs):
+            want = matvec(k0, x_in, p=p, mode=RealMode())
+            assert np.array_equal(ring[(total - 1) % ring.shape[0]], want)
 
 
 def test_generate_rejects_non_finite_weights():
@@ -310,6 +320,43 @@ def test_generate_naive_property(layers, channels, levels, seed, use_lattice):
     fast = generate(cfg, ws, n=40)
     naive = generate_naive(cfg, ws, n=40)
     assert np.array_equal(fast.bins, naive.bins)
+
+
+STEP_MODES = ["real", "fixed<27,8>", "fixed<16,3>", "fixed<10,1>"]
+
+
+def lowered(w, p, mode, bias=None):
+    return _lower(mode.from_real(w), p.num_parallel_in, mode, bias)
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_configs(), st.sampled_from([0.25, 2.0]), st.integers(0, 2**31))
+def test_stacked_step_matches_input_queue_reference(cfg, scale, seed):
+    """The session's one stacked matvec per layer, with its product rings,
+    gives the bits and counts of the input-queue step on separately lowered
+    k0 and k1, over enough steps that every ring wraps.  Scale 2.0 drives
+    the narrow formats onto the clipped fold."""
+    ws = random_weights(cfg, seed=seed, scale=scale)
+    specs = validate_config(cfg)
+    params = default_layer_params(specs)
+    xs = np.random.default_rng(seed).uniform(-1, 1, max(s.dilation for s in specs) + 3)
+    for text in STEP_MODES:
+        mode = parse_mode(text)
+        sess_stats, ref_stats = OpStats(), OpStats()
+        sess = _Session(cfg, ws, mode, sess_stats)
+        states = [LayerState.fresh(s, dtype=mode.dtype) for s in specs]
+        pairs = [(lowered(k0, p, mode), lowered(k1, p, mode)) for (k0, k1), p in zip(ws.kernels, params)]
+        fc = lowered(ws.fc_weight.T, DEFAULT_PARALLELISM, mode, mode.from_real(ws.fc_bias))
+        for t, x in enumerate(xs):
+            outs = []
+            logits = sess.forward(x, observe=lambda i, out: outs.append(out))
+            cur = mode.from_real(np.array([x]))
+            for i, (state, (k0, k1), p) in enumerate(zip(states, pairs, params)):
+                cur = dilated_conv_step(state, cur, k0, k1, p=p, mode=mode, stats=ref_stats)
+                assert np.array_equal(outs[i], cur), f"{text}: layer {i}, step {t}"
+            want = matvec(fc, cur, p=DEFAULT_PARALLELISM, mode=mode, stats=ref_stats)
+            assert np.array_equal(logits, want), f"{text}: logits, step {t}"
+        assert sess_stats == ref_stats, text
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +463,6 @@ def test_teacher_forced_refuses_non_integer_layer_indices(layers):
 
 @pytest.mark.parametrize("mode", [RealMode(), FixedMode()], ids=["real", "fixed"])
 def test_forward_observer_sees_every_layer_in_sweep_order(mode):
-    from qwavenet.inference import _Session
-
     cfg = ModelConfig(num_blocks=2, layers_per_block=3, channels=4)
     sess = _Session(cfg, random_weights(cfg, seed=3), mode)
     seen = []
@@ -426,6 +471,21 @@ def test_forward_observer_sees_every_layer_in_sweep_order(mode):
     L = cfg.total_layers
     assert [i for i, _, _ in seen] == list(range(L)) * 3
     assert all(dtype == mode.dtype and shape == (4,) for _, dtype, shape in seen)
+
+
+@pytest.mark.parametrize("text", ["fixed<27,8>", "fixed<16,3>"])
+def test_static_headroom_is_the_larger_row_bound_of_each_pair(text):
+    cfg = ModelConfig(num_blocks=2, layers_per_block=3, channels=8)
+    ws = random_weights(cfg, seed=4, scale=1.0)
+    mode = parse_mode(text)
+    fmt = mode.fmt
+    bounds = [
+        [mode.row_bound(lowered(k, p, mode), 1 << fmt.frac_bits) / fmt.raw_max for k in pair]
+        for pair, p in zip(ws.kernels, default_layer_params(validate_config(cfg)))
+    ]
+    # each tap holds the larger bound in some layer, so neither half alone passes
+    assert any(b0 > b1 for b0, b1 in bounds) and any(b1 > b0 for b0, b1 in bounds)
+    assert static_headroom(cfg, ws, mode) == [max(pair) for pair in bounds]
 
 
 def test_static_headroom_refuses_non_fixed_modes():

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
 from qwavenet import (
     ConfigError,
@@ -21,18 +20,8 @@ from qwavenet import (
     teacher_forced_layer_outputs,
     validate_config,
 )
+from conftest import small_configs
 from qwavenet.model import CONFIG_KEYS
-
-
-def small_configs():
-    return st.builds(
-        ModelConfig,
-        num_blocks=st.integers(1, 3),
-        layers_per_block=st.integers(1, 8),
-        channels=st.integers(1, 32),
-        quant_levels=st.integers(2, 512),
-        sample_rate=st.integers(1, 48000),
-    )
 
 
 # ---------------------------------------------------------------------------
