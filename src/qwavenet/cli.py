@@ -6,10 +6,10 @@ Subcommands:
   an optional JSON run report (timings, throughput, config/weight digests,
   Python/numpy versions and CPU count, and in fixed point each layer's
   static headroom);
-* ``verify``   — self-check on a reduced version of the given config: queue
-  semantics against a shifting FIFO, the engine against a plain matvec, and
-  the queue-based generator against the naive full-history reference, in
-  real mode and in the default fixed-point format;
+* ``verify``   — self-check on a reduced version of the given config: the
+  engine against a plain matvec, and the generator, with its rings of
+  delayed-tap products, against the naive full-history reference, in real
+  mode and in the default fixed-point format;
 * ``compare``  — MSE and log-spectral distance between two WAV files;
 * ``explore``  — sweep engine parallelism parameters over the model's layers
   and emit the cost model's estimates as CSV.
@@ -36,7 +36,6 @@ from .inference import default_layer_params, generate, generate_naive, static_he
 from .metrics import SpectrogramParams, metric_report
 from .model import ModelConfig, config_digest, load_config, validate_config
 from .numerics import FixedMode, RealMode, parse_mode
-from .queues import CyclicQueue
 from .weights import load_weights, random_weights
 from .wavio import read_wav, write_wav
 
@@ -123,21 +122,6 @@ def _reduced_config(cfg: ModelConfig) -> ModelConfig:
     )
 
 
-def _check_queue_fifo(rng) -> str:
-    for length in (1, 2, 3, 5, 8):
-        q = CyclicQueue(length, 3)
-        fifo = [np.zeros(3)] * length
-        for _ in range(4 * length + 3):
-            v = rng.uniform(-1, 1, 3)
-            got = q.front()
-            want = fifo[0]
-            if not np.array_equal(got, want):
-                return f"front mismatch at queue length {length}"
-            q.push(v)
-            fifo = fifo[1:] + [v]
-    return ""
-
-
 def _check_matvec(rng) -> str:
     combos = [
         ParallelismParams(po, pi) for po, pi in product((1, 2, 4, 8), repeat=2)
@@ -177,10 +161,7 @@ def _check_generator_parity(cfg: ModelConfig, seed: int, mode) -> str:
 def _cmd_verify(args) -> int:
     cfg = _reduced_config(load_config(args.config))
     rng = np.random.default_rng(args.seed)
-    checks = [
-        ("cyclic queue vs shifting FIFO", lambda: _check_queue_fifo(rng)),
-        ("matvec vs plain matrix product", lambda: _check_matvec(rng)),
-    ] + [
+    checks = [("matvec vs plain matrix product", partial(_check_matvec, rng))] + [
         (
             f"queue generator vs naive reference, {mode}",
             partial(_check_generator_parity, cfg, args.seed, mode),

@@ -2,18 +2,19 @@
 
 The generator is a stack of blocks, each holding ``layers_per_block`` dilated
 causal convolution layers of filter width 2.  Within a block, layer ``l``
-(1-based) has dilation ``2**(l-1)`` and a cyclic activation queue of the same
-length.  Layer 1 of block 1 reads the scalar input stream (one channel); every
-other layer reads ``channels`` channels.  A single fully connected layer maps
-the last convolution output to ``quant_levels`` logits.
+(1-based) has dilation ``d = 2**(l-1)``; the generator keeps a ring of the
+layer's last ``d`` delayed-tap (k0) products.  Layer 1 of block 1 reads the
+scalar input stream (one channel); every other layer reads ``channels``
+channels.  A single fully connected layer maps the last convolution output
+to ``quant_levels`` logits.
 
-This module owns the structural invariants: per-layer shapes, queue sizes,
-receptive field, and the JSON config format.  A :class:`ModelConfig` checks
-itself when built, directly, by ``dataclasses.replace`` or from JSON: every
-field is a Python ``int`` (``FxFormat``'s rule) that fits the weight file's
-u32 header, the ranges hold and the filter width is 2, so a saved config
-always loads and every config's weights can be saved.  Weight storage lives
-in :mod:`qwavenet.weights`.
+This module owns the structural invariants: per-layer shapes, the input-queue
+reference's sizes, receptive field, and the JSON config format.  A
+:class:`ModelConfig` checks itself when built, directly, by
+``dataclasses.replace`` or from JSON: every field is a Python ``int``
+(``FxFormat``'s rule) that fits the weight file's u32 header, the ranges hold
+and the filter width is 2, so a saved config always loads and every config's
+weights can be saved.  Weight storage lives in :mod:`qwavenet.weights`.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class ModelConfig:
 class LayerSpec:
     """Resolved geometry of one convolution layer.
 
-    ``block_index`` and ``layer_index`` are 1-based; ``queue_length`` equals
-    the dilation, and the queue stores ``queue_length * in_channels``
-    elements.
+    ``block_index`` and ``layer_index`` are 1-based.  The generator's ring
+    for the layer holds ``dilation * out_channels`` k0 products;
+    ``queue_elems`` counts the input-queue reference's ``dilation *
+    in_channels``.
     """
 
     block_index: int
@@ -94,12 +96,8 @@ class LayerSpec:
     dilation: int
 
     @property
-    def queue_length(self) -> int:
-        return self.dilation
-
-    @property
     def queue_elems(self) -> int:
-        return self.queue_length * self.in_channels
+        return self.dilation * self.in_channels
 
 
 def validate_config(cfg: ModelConfig) -> list[LayerSpec]:
@@ -131,12 +129,11 @@ class QueueMemory:
 
 
 def estimate_queue_memory(cfg: ModelConfig) -> QueueMemory:
-    """Element counts of every activation queue (block-major order).
-
-    These are the input queues of ``dilated_conv_step``, ``in_channels`` per
-    row.  ``generate`` keeps its delayed tap's products instead,
-    ``out_channels`` per row, which differs only for a one-channel input
-    layer: the default model's sessions hold 4194048 elements, not 4193921.
+    """Element counts of the input-queue reference's queues (block-major
+    order): ``dilation * in_channels`` per layer, as ``dilated_conv_step``
+    keeps them.  ``generate``'s rings hold ``dilation * out_channels`` k0
+    products instead, which differs only for a one-channel input layer: the
+    default model's sessions hold 4194048 elements, not 4193921.
     """
     specs = validate_config(cfg)
     per_layer = tuple(s.queue_elems for s in specs)

@@ -6,8 +6,9 @@ the whole history, ``dilated_conv_step`` gives each layer a ring buffer of
 exactly d input rows: the slot at ``head`` is the oldest entry (the
 d-steps-delayed input), and one step does a single overwrite-and-advance —
 pop and push fused, never a shift — around two matvecs.  This input-queue
-step is the reference the benchmark's loop and the tests build from;
-``generate`` keeps the delayed tap's products instead (``inference``).
+step is the reference the benchmark's loop and the tests build from; no
+command or generator runs it: ``generate`` keeps the delayed tap's products
+instead (``inference``).
 
 ``naive_dilated_conv_sequence`` evaluates the same convolution directly from
 a full input history.  It exists as the reference path: queue-based and
@@ -74,7 +75,7 @@ class LayerState:
 
     @classmethod
     def fresh(cls, spec: LayerSpec, dtype=np.float64) -> "LayerState":
-        return cls(queue=CyclicQueue(spec.queue_length, spec.in_channels, dtype=dtype))
+        return cls(queue=CyclicQueue(spec.dilation, spec.in_channels, dtype=dtype))
 
 
 def dilated_conv_step(
@@ -88,7 +89,7 @@ def dilated_conv_step(
     """
     delayed = matvec(k0, state.queue.front(), p=p, mode=mode, stats=stats)
     current = matvec(k1, prev_out, p=p, mode=mode, stats=stats)
-    out = mode.tanh(mode.add(delayed, current))
+    out = mode.tanh(_add_taps(delayed, current, mode))
     state.queue.push(prev_out)
     return out
 
@@ -111,4 +112,14 @@ def naive_dilated_conv_sequence(
     delayed[dilation:] = history[: max(history.shape[0] - dilation, 0)]
     delayed = matvec_cols(k0, delayed.T, p=p, mode=mode, stats=stats)
     current = matvec_cols(k1, history.T, p=p, mode=mode, stats=stats)
-    return mode.add(delayed, current).T
+    return _add_taps(delayed, current, mode).T
+
+
+def _add_taps(delayed, current, mode):
+    """The two taps' products summed; taps of different heights are refused,
+    not broadcast."""
+    if delayed.shape != current.shape:
+        raise ShapeMismatchError(
+            f"k0 products have shape {delayed.shape}, k1 products {current.shape}"
+        )
+    return mode.add(delayed, current)

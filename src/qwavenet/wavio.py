@@ -16,6 +16,7 @@ from .numerics import _round_half_away_f64
 
 BIT_DEPTH = 16
 CHANNELS = 1
+_MAX_SAMPLE_RATE = 2**31 - 1  # the header's byte rate, rate * 2, is a u32
 
 
 class WavFormatError(ValueError):
@@ -31,11 +32,12 @@ def encode_pcm16(samples) -> np.ndarray:
 
 def write_wav(path, samples, sample_rate: int) -> None:
     """Write a mono 16-bit PCM file; samples are reals in [-1, 1] and the
-    rate is an int, which the header stores exactly."""
+    rate is an int up to 2**31 - 1, which the header stores exactly.  Bad
+    input is refused before the file is opened."""
     if type(sample_rate) is not int:
         raise TypeError(f"sample_rate must be an int, got {sample_rate!r}")
-    if sample_rate < 1:
-        raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
+    if not 1 <= sample_rate <= _MAX_SAMPLE_RATE:
+        raise ValueError(f"sample_rate must be in [1, {_MAX_SAMPLE_RATE}], got {sample_rate}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")

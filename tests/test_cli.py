@@ -9,7 +9,18 @@ import platform
 import numpy as np
 import pytest
 
-from qwavenet import ModelConfig, random_weights, save_config, save_weights, write_wav
+from qwavenet import (
+    FixedMode,
+    ModelConfig,
+    RealMode,
+    generate_naive,
+    queues,
+    random_weights,
+    save_config,
+    save_weights,
+    teacher_forced_layer_outputs,
+    write_wav,
+)
 from qwavenet.cli import run_cli
 
 TINY = ModelConfig(
@@ -158,15 +169,63 @@ def test_generate_zero_length(model_files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_refuses_rate_past_wav_header(tmp_path, capsys):
+    # the config stores 2**31 Hz, but a WAV header's byte rate (rate * 2) is a
+    # u32: the write is refused before the file is opened
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=2, quant_levels=4,
+                      sample_rate=2**31)
+    cfg_path, w_path, out = tmp_path / "model.json", tmp_path / "w.bin", tmp_path / "out.wav"
+    save_config(cfg, cfg_path)
+    save_weights(w_path, random_weights(cfg, seed=1), cfg)
+    rc = run_cli(
+        [
+            "generate",
+            "--config", str(cfg_path),
+            "--weights", str(w_path),
+            "--seconds", "1e-9",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "sample_rate must be in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_passes(model_files, capsys):
     cfg_path, _ = model_files
     rc = run_cli(["verify", "--config", str(cfg_path), "--seed", "3"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.count("ok   ") == 4
+    assert out.count("ok   ") == 3
     assert "ok   queue generator vs naive reference, real" in out
     assert "ok   queue generator vs naive reference, fixed<27,8>" in out
     assert "FAIL" not in out
+
+
+def test_shipped_paths_never_build_the_input_queue(model_files, tmp_path, monkeypatch):
+    # the input-queue step is a reference for the tests; the CLI and the
+    # generators run on the session's rings
+    def refuse(*args, **kwargs):
+        raise AssertionError("CyclicQueue built")
+
+    monkeypatch.setattr(queues.CyclicQueue, "__init__", refuse)
+    cfg_path, w_path = model_files
+    assert run_cli(["verify", "--config", str(cfg_path), "--seed", "1"]) == 0
+    rc = run_cli(
+        [
+            "generate",
+            "--config", str(cfg_path),
+            "--weights", str(w_path),
+            "--seconds", "0.2",
+            "--out", str(tmp_path / "out.wav"),
+        ]
+    )
+    assert rc == 0
+    ws = random_weights(TINY, seed=2)
+    for mode in (RealMode(), FixedMode()):
+        assert generate_naive(TINY, ws, n=8, mode=mode).bins.shape == (8,)
+        trace = teacher_forced_layer_outputs(TINY, ws, np.zeros(8), mode=mode)
+        assert len(trace.layer_outputs) == TINY.total_layers
 
 
 def test_compare_identical_files(tmp_path, capsys):

@@ -152,6 +152,8 @@ def test_spectrogram_params_validation():
         SpectrogramParams(window="hamming")
     with pytest.raises(ValueError):
         SpectrogramParams(epsilon=0.0)
+    with pytest.raises(ValueError):
+        SpectrogramParams(epsilon=float("inf"))
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 from qwavenet import (
     ConfigError,
+    LayerState,
     ModelConfig,
     RealMode,
     config_digest,
@@ -55,8 +56,8 @@ def test_layer_table_default():
     assert specs[0].in_channels == 1
     assert all(s.in_channels == 128 for s in specs[1:])
     assert all(s.out_channels == 128 for s in specs)
-    # queue length always equals the dilation
-    assert all(s.queue_length == s.dilation for s in specs)
+    # a layer's input queue holds one row per step of delay
+    assert all(s.queue_elems == s.dilation * s.in_channels for s in specs)
 
 
 @given(small_configs())
@@ -65,13 +66,13 @@ def test_layer_table_invariants(cfg):
     assert len(specs) == cfg.total_layers
     for s in specs:
         assert s.dilation == 2 ** (s.layer_index - 1)
-        assert s.queue_length == s.dilation
+        assert LayerState.fresh(s).queue.length == s.dilation
         assert s.out_channels == cfg.channels
         if s.block_index == 1 and s.layer_index == 1:
             assert s.in_channels == 1
         else:
             assert s.in_channels == cfg.channels
-        assert s.queue_elems == s.queue_length * s.in_channels
+        assert s.queue_elems == s.dilation * s.in_channels
 
 
 @pytest.mark.parametrize(
@@ -117,7 +118,7 @@ def test_queue_memory_default():
     assert len(mem.per_layer) == 28
     # first layer reads one channel, so its length-1 queue holds one element
     assert mem.per_layer[0] == 1
-    # expected counts: queue_length x in_channels for every layer
+    # expected counts: dilation x in_channels for every layer
     expected = []
     for block in (1, 2):
         for layer in range(1, 15):

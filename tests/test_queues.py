@@ -21,7 +21,9 @@ from qwavenet import (
     OpStats,
     ParallelismParams,
     RealMode,
+    ShapeMismatchError,
     matvec,
+    parse_mode,
     random_weights,
     validate_config,
 )
@@ -124,14 +126,13 @@ def test_queue_front_is_delayed_stream(length, n, seed):
 def test_layer_state_fresh():
     spec = validate_config(ModelConfig(num_blocks=1, layers_per_block=3, channels=4))[2]
     st_ = LayerState.fresh(spec)
-    assert st_.queue.length == spec.queue_length == 4
+    assert st_.queue.length == spec.dilation == 4
     assert st_.queue.channels == spec.in_channels == 4
 
 
 def test_hand_built_spec_queue_follows_dilation():
     spec = LayerSpec(1, 1, 1, 1, dilation=2)
-    assert spec.queue_length == 2
-    assert LayerState.fresh(spec).queue.length == 2
+    assert LayerState.fresh(spec).queue.length == spec.dilation == 2
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +174,34 @@ def test_conv_step_zero_kernels():
     z = np.zeros((3, 2))
     out = dilated_conv_step(state, np.array([0.5, -0.5]), z, z, p=P11)
     assert np.array_equal(out, np.zeros(3))
+
+
+@pytest.mark.parametrize("text", ["real", "fixed<16,3>"])
+@pytest.mark.parametrize(
+    "k0_rows, k1_rows", [(2, 1), (1, 3)], ids=["k1-narrower", "k1-wider"]
+)
+def test_mismatched_taps_are_refused(text, k0_rows, k1_rows):
+    # one tap of height 1 would broadcast against the other; both references
+    # refuse instead, and the queue step refuses before it pushes
+    mode = parse_mode(text)
+    k0 = mode.from_real(np.full((k0_rows, 2), 0.25))
+    k1 = mode.from_real(np.full((k1_rows, 2), 0.5))
+    shapes = rf"\({k0_rows}, 4\).*\({k1_rows}, 4\)"
+    with pytest.raises(ShapeMismatchError, match=shapes):
+        naive_dilated_conv_sequence(
+            mode.from_real(np.full((4, 2), 0.5)), k0, k1, 1, p=P11, mode=mode
+        )
+
+    state = LayerState.fresh(LayerSpec(1, 1, 2, k1_rows, dilation=2), dtype=mode.dtype)
+    state.queue.push(mode.from_real(np.array([0.5, -0.5])))
+    head, storage = state.queue.head, state.queue.storage.copy()
+    shapes = rf"\({k0_rows},\).*\({k1_rows},\)"
+    with pytest.raises(ShapeMismatchError, match=shapes):
+        dilated_conv_step(
+            state, mode.from_real(np.array([0.25, 0.75])), k0, k1, p=P11, mode=mode
+        )
+    assert state.queue.head == head
+    assert np.array_equal(state.queue.storage, storage)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,24 @@ def test_write_wav_rate_takes_ints_only(tmp_path, rate):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rate", [2**31, 2**32 - 1])
+def test_write_wav_refuses_rates_past_the_header(tmp_path, rate):
+    # the header's byte rate, rate * 2, is a u32; the refusal comes before
+    # the file is opened, so no half-written file is left behind
+    path = tmp_path / "a.wav"
+    with pytest.raises(ValueError, match="sample_rate must be in"):
+        write_wav(path, np.zeros(4), rate)
+    assert not path.exists()
+
+
+def test_write_wav_takes_the_largest_rate(tmp_path):
+    path = tmp_path / "a.wav"
+    write_wav(path, np.array([0.5, -0.25]), 2**31 - 1)
+    back, rate = read_wav(path)
+    assert rate == 2**31 - 1
+    assert (back * 32767.0).tolist() == [16384, -8192]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_write_wav_refuses_non_finite(tmp_path, bad):
     path = tmp_path / "a.wav"
