@@ -30,14 +30,18 @@ def encode_pcm16(samples) -> np.ndarray:
     return np.clip(rounded, -32768, 32767).astype("<i2")
 
 
-def write_wav(path, samples, sample_rate: int) -> None:
-    """Write a mono 16-bit PCM file; samples are reals in [-1, 1] and the
-    rate is an int up to 2**31 - 1, which the header stores exactly.  Bad
-    input is refused before the file is opened."""
+def _check_sample_rate(sample_rate) -> None:
+    """Refuse a rate that is not an int the header stores exactly."""
     if type(sample_rate) is not int:
         raise TypeError(f"sample_rate must be an int, got {sample_rate!r}")
     if not 1 <= sample_rate <= _MAX_SAMPLE_RATE:
         raise ValueError(f"sample_rate must be in [1, {_MAX_SAMPLE_RATE}], got {sample_rate}")
+
+
+def write_wav(path, samples, sample_rate: int) -> None:
+    """Write a mono 16-bit PCM file of reals in [-1, 1] at a rate the header
+    stores exactly.  Bad input is refused before the file is opened."""
+    _check_sample_rate(sample_rate)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")

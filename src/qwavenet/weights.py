@@ -102,7 +102,12 @@ def _from_file_order(arrays) -> WeightSet:
 
 
 def random_weights(cfg: ModelConfig, seed: int, scale: float = 0.25) -> WeightSet:
-    """Deterministic uniform weights in ``[-scale, scale]`` (test fixture)."""
+    """Deterministic uniform weights in ``[-scale, scale]`` (test fixture):
+    one int seed gives one weight set."""
+    if type(seed) is not int:  # None would draw fresh OS entropy
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    if isinstance(scale, bool):
+        raise TypeError(f"scale must be a real number, got {scale!r}")
     if not 0 < scale < math.inf:
         raise ValueError(f"scale must be finite and > 0, got {scale}")
     rng = np.random.default_rng(seed)

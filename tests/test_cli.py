@@ -21,6 +21,7 @@ from qwavenet import (
     teacher_forced_layer_outputs,
     write_wav,
 )
+from qwavenet import cli, inference
 from qwavenet.cli import run_cli
 
 TINY = ModelConfig(
@@ -191,6 +192,32 @@ def test_generate_refuses_rate_past_wav_header(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_refuses_rate_before_the_run(tmp_path, capsys, monkeypatch):
+    # 1 ms at 2**31 Hz is about 2.1 million samples: the rate no WAV can hold
+    # must be refused before generation starts, not after it
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate called")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=2, quant_levels=4,
+                      sample_rate=2**31)
+    cfg_path, w_path, out = tmp_path / "model.json", tmp_path / "w.bin", tmp_path / "out.wav"
+    save_config(cfg, cfg_path)
+    save_weights(w_path, random_weights(cfg, seed=1), cfg)
+    rc = run_cli(
+        [
+            "generate",
+            "--config", str(cfg_path),
+            "--weights", str(w_path),
+            "--seconds", "0.001",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "sample_rate must be in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_passes(model_files, capsys):
     cfg_path, _ = model_files
     rc = run_cli(["verify", "--config", str(cfg_path), "--seed", "3"])
@@ -200,6 +227,24 @@ def test_verify_passes(model_files, capsys):
     assert "ok   queue generator vs naive reference, real" in out
     assert "ok   queue generator vs naive reference, fixed<27,8>" in out
     assert "FAIL" not in out
+
+
+def test_verify_fails_a_one_ulp_real_mode_logit(model_files, capsys, monkeypatch):
+    # parity is bit-exact in every mode: a queue generator whose real-mode
+    # logits each move by one ulp fails, and fixed point still passes
+    forward = inference._Session.forward
+
+    def nudged(self, *args, **kwargs):
+        logits = forward(self, *args, **kwargs)
+        return np.nextafter(logits, np.inf) if isinstance(self.mode, RealMode) else logits
+
+    monkeypatch.setattr(inference._Session, "forward", nudged)
+    cfg_path, _ = model_files
+    rc = run_cli(["verify", "--config", str(cfg_path), "--seed", "3"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "FAIL queue generator vs naive reference, real" in out
+    assert "ok   queue generator vs naive reference, fixed<27,8>" in out
 
 
 def test_shipped_paths_never_build_the_input_queue(model_files, tmp_path, monkeypatch):

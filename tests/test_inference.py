@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_configs
@@ -38,8 +38,9 @@ TINY = ModelConfig(num_blocks=1, layers_per_block=4, channels=8)
 def lattice_weights(cfg, seed, scale=0.25):
     """Random weights snapped to the fixed<27,8> grid.
 
-    Every value is a multiple of 2**-19 with magnitude below 1, so it is
-    exactly representable in float32, float64, and the fixed-point format.
+    Every value is a multiple of 2**-19 with magnitude at most ``scale``, so
+    at the scales used here it is exactly representable in float32, float64,
+    and fixed<27,8>.
     """
     ws = random_weights(cfg, seed=seed, scale=scale)
 
@@ -298,10 +299,10 @@ def test_generate_matches_naive_recompute(mode):
     )
     assert np.array_equal(fast.bins, naive.bins)
     assert np.array_equal(fast.samples, naive.samples)
-    dev = max(
-        float(np.max(np.abs(a - b))) for a, b in zip(sink_fast, sink_naive)
-    )
-    assert dev == 0.0
+    assert np.array_equal(sink_fast, sink_naive)
+
+
+STEP_MODES = ["real", "fixed<27,8>", "fixed<16,3>", "fixed<10,1>"]
 
 
 @settings(max_examples=8, deadline=None)
@@ -311,18 +312,26 @@ def test_generate_matches_naive_recompute(mode):
     st.integers(8, 32),
     st.integers(0, 10_000),
     st.booleans(),
+    st.sampled_from(STEP_MODES),
+    st.sampled_from([0.25, 2.0]),
 )
-def test_generate_naive_property(layers, channels, levels, seed, use_lattice):
+@example(3, 6, 16, 0, False, "fixed<16,3>", 2.0)  # folds that never clip
+@example(3, 6, 16, 0, False, "fixed<10,1>", 2.0)  # folds that clip
+def test_generate_naive_property(layers, channels, levels, seed, use_lattice, text, scale):
+    """The queue generator equals the full-history oracle bit for bit, bins
+    and logits, in every mode.  Scale 2.0 drives the narrow formats onto the
+    clipped fold."""
     cfg = ModelConfig(
         num_blocks=1, layers_per_block=layers, channels=channels, quant_levels=levels
     )
-    ws = lattice_weights(cfg, seed) if use_lattice else random_weights(cfg, seed=seed)
-    fast = generate(cfg, ws, n=40)
-    naive = generate_naive(cfg, ws, n=40)
+    weights = lattice_weights if use_lattice else random_weights
+    ws = weights(cfg, seed=seed, scale=scale)
+    mode = parse_mode(text)
+    sink_fast, sink_naive = [], []
+    fast = generate(cfg, ws, n=40, mode=mode, logit_sink=sink_fast)
+    naive = generate_naive(cfg, ws, n=40, mode=mode, logit_sink=sink_naive)
     assert np.array_equal(fast.bins, naive.bins)
-
-
-STEP_MODES = ["real", "fixed<27,8>", "fixed<16,3>", "fixed<10,1>"]
+    assert np.array_equal(sink_fast, sink_naive)
 
 
 def lowered(w, p, mode, bias=None):

@@ -64,6 +64,18 @@ def test_random_weights_rejects_bad_scale():
             random_weights(CFG, seed=0, scale=scale)
 
 
+def test_random_weights_takes_only_an_int_seed_and_a_real_scale():
+    # None would draw fresh OS entropy, so two calls would differ; numpy
+    # integers, floats and bools fail the one integer rule
+    for seed in (None, np.int64(1), 1.0, True):
+        with pytest.raises(TypeError, match="seed"):
+            random_weights(CFG, seed=seed)
+    with pytest.raises(TypeError, match="scale"):
+        random_weights(CFG, seed=0, scale=True)
+    assert np.array_equal(random_weights(CFG, seed=0, scale=np.float64(0.5)).fc_bias,
+                          random_weights(CFG, seed=0, scale=0.5).fc_bias)
+
+
 def test_roundtrip_bit_exact(tmp_path):
     ws = random_weights(CFG, seed=7)
     path = tmp_path / "w.bin"
