@@ -27,10 +27,12 @@ amortizes call overhead.
 In fixed point the static facts are S_max, the largest row sum of |W_raw|,
 and w_max, the largest |W_raw|.  With m the largest |x_raw| of a call, no
 rounded product, fold partial or tree partial exceeds
-``(S_max·m >> f) + N``.  That bound alone decides each call's path in
-``FixedMode.mac``: when it fits the format the row sums are exact and need
-no clip; otherwise the clipped fold runs.  Raws outside the format range are
-refused: weights and bias when lowered, inputs per call.
+``(S_max·m >> f) + N``.  That bound decides first in ``FixedMode.mac``:
+when it fits the format the row sums are exact and need no clip.  Otherwise
+each lane's positive and negative sums of its products decide: when both are
+in range no fold partial can clip and the lane sums are exact; otherwise the
+clipped fold runs.  Raws outside the format range are refused: weights and
+bias when lowered, inputs per call.
 
 ``estimate_cycles`` is the analytic cost model for the same datapath: one
 cycle per MAC round per accumulator, plus tree depth, plus one accumulate,

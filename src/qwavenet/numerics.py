@@ -9,7 +9,9 @@ boundary; everything in between stays native.  ``matrix_facts`` and ``mac``
 are the mode's half of the engine datapath: the static facts kept with a
 lowered weight matrix and its bias, and the multiply plus sequential
 accumulation of lane-major products, whose partials the engine's reduction
-tree then combines.
+tree then combines.  In fixed point the accumulation skips its clips when
+they cannot fire: when the cached row bound fits the format, or when no
+lane's positive or negative product sum leaves it.
 
 The raw-array operations live here too: ``quantize_real`` and ``mul_raw``,
 and the rounding, saturation and operand rules ``FixedMode`` is built from.
@@ -226,10 +228,13 @@ class FixedMode:
         covers.  When the bound fits the format, nothing saturates and the
         exact row sum, in any order, is the result: it comes back as one
         partial with no clip.  Otherwise the product is clipped only when
-        w_max·m shows that a rounded product can leave the range, and the
-        chunks are left-folded with a clip after every add.  Products are
-        then at most 32 bits, so no int64 sum of them overflows.  Input raws
-        outside the format range are refused.
+        w_max·m shows that a rounded product can leave the range; products
+        are then at most 32 bits, so no int64 sum of them overflows.  Every
+        prefix of a lane's fold lies between the sums of its negative and
+        of its positive products, so when those are in range for every lane
+        no clip can fire and the lane sums are the fold's result.  Only
+        otherwise are the chunks left-folded with a clip after every add.
+        Input raws outside the format range are refused.
         """
         fmt = self.fmt
         raw_min, raw_max = fmt.raw_min, fmt.raw_max
@@ -239,6 +244,10 @@ class FixedMode:
             return products.sum(axis=(0, 1))[None]
         if not _products_fit(w.facts[1], m, fmt):
             _saturate_inplace(products, fmt)
+        total = products.sum(axis=0)
+        pos = np.maximum(products, 0).sum(axis=0)
+        if pos.max(initial=0) <= raw_max and (total - pos).min(initial=0) >= raw_min:
+            return total
         acc = products[0].copy()
         for k in range(1, products.shape[0]):
             np.add(acc, products[k], out=acc)

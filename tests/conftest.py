@@ -4,12 +4,14 @@ The acceptance tests in ``test_acceptance.py`` record a one-line verdict per
 criterion via :func:`record_criterion`; the hook below prints the collected
 lines in the terminal summary so they are visible even when output capture is
 on.  ``small_configs`` is the Hypothesis strategy for small model configs that
-several test modules draw from.
+several test modules draw from, and ``lattice_weights`` snaps random weights
+to the fixed<27,8> grid.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
-from qwavenet import ModelConfig
+from qwavenet import ModelConfig, WeightSet, random_weights
 
 
 def small_configs():
@@ -20,6 +22,25 @@ def small_configs():
         channels=st.integers(1, 32),
         quant_levels=st.integers(2, 512),
         sample_rate=st.integers(1, 48000),
+    )
+
+
+def lattice_weights(cfg, seed, scale=0.25):
+    """Random weights snapped to the fixed<27,8> grid.
+
+    Every value is a multiple of 2**-19 with magnitude at most ``scale``, so
+    at the scales used here it is exactly representable in float32, float64,
+    and fixed<27,8>.
+    """
+    ws = random_weights(cfg, seed=seed, scale=scale)
+
+    def snap(a):
+        return (np.round(a.astype(np.float64) * 2.0**19) / 2.0**19).astype(np.float32)
+
+    return WeightSet(
+        kernels=tuple((snap(k0), snap(k1)) for k0, k1 in ws.kernels),
+        fc_weight=snap(ws.fc_weight),
+        fc_bias=snap(ws.fc_bias),
     )
 
 

@@ -23,7 +23,6 @@ from qwavenet import (
     OpStats,
     ParallelismParams,
     RealMode,
-    WeightSet,
     dequantize,
     estimate_cycles,
     estimate_queue_memory,
@@ -40,7 +39,7 @@ from qwavenet import (
 from qwavenet.cli import RunReport, _sha256_file
 from qwavenet.model import config_digest
 
-from conftest import record_criterion
+from conftest import lattice_weights, record_criterion
 
 DEFAULT = ModelConfig()
 BUNDLE_WEIGHT_SEED = 2020
@@ -62,19 +61,6 @@ def default_real_16k(bundle_weights):
     wf = generate(DEFAULT, bundle_weights, n=16000, mode=RealMode(), stats=stats)
     wall = time.perf_counter() - t0
     return wf, wall, stats
-
-
-def lattice_weights(cfg, seed):
-    ws = random_weights(cfg, seed=seed, scale=0.25)
-
-    def snap(a):
-        return (np.round(a.astype(np.float64) * 2.0**19) / 2.0**19).astype(np.float32)
-
-    return WeightSet(
-        kernels=tuple((snap(k0), snap(k1)) for k0, k1 in ws.kernels),
-        fc_weight=snap(ws.fc_weight),
-        fc_bias=snap(ws.fc_bias),
-    )
 
 
 # ---------------------------------------------------------------------------

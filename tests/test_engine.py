@@ -254,7 +254,7 @@ def test_matvec_real_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_b
 def test_matvec_fixed_matches_scalar_sim_bitwise(M, N, p_pow, p_out, seed, with_bias, fmt, shrink):
     # raws span +-raw_max >> shrink: full range saturates products and sums
     # often, mid ranges straddle the static row bound (S_max·m >> f) + N that
-    # picks the exact sum over the clipped fold, small ones fit inside it
+    # picks the exact sum over the lane-sum test, small ones fit inside it
     rng = np.random.default_rng(seed)
     hi = max(fmt.raw_max >> shrink, 1)
     W = rng.integers(-hi, hi + 1, (M, N))
@@ -420,7 +420,7 @@ def test_static_bound_edges_match_scalar_oracle(fmt, M, N, p_pow, step, over, al
     signs and saturate, while cold rows with a quarter of S_max do not.  One
     step outside, every row's sum of |rounded products| still fits raw_max
     (each is at most |W_raw|·m/2^f + 1/2, and N >= 2), yet the bound sends
-    the matvec through the clipped fold and the tree.
+    the matvec through the lane-sum test and the tree.
     Plain, input-major and lowered W must all match the ``FxValue`` oracle."""
     rng = np.random.default_rng(seed)
     f = fmt.frac_bits
@@ -457,6 +457,118 @@ def test_static_bound_edges_match_scalar_oracle(fmt, M, N, p_pow, step, over, al
     cols = matvec_cols(lowered, X, p=p, mode=mode)
     assert np.array_equal(cols, matvec_cols(W, X, p=p, mode=mode))
     assert cols[:, 0].tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# lane sums on the fold path
+
+FX10_1 = FxFormat(10, 1)
+FX8_8 = FxFormat(8, 8)
+
+
+def lane_edge_operands(rng, fmt, p_in, M, step, side=None, edge_first=False):
+    """(W, x) whose rounded products put one side of every lane ``step`` past
+    the format's edge: the lane's positive sum is raw_max + step (``side``
+    1) or its negative sum raw_min - step (``side`` -1; None draws a side per
+    lane), while its other side stays inside.  x is +-m with m = 2^(f-1)
+    (1 when f = 0), so each product is W/2 (W when f = 0) and no product
+    saturates.  Each lane holds three edge products and two of the other
+    sign, in random order, or with the edge products first, so that the
+    fold's third partial is the edge sum itself."""
+    f = fmt.frac_bits
+    m, gain = (1 << (f - 1), 2) if f else (1, 1)
+    cap = fmt.raw_max // gain
+    products = np.zeros((M, 5 * p_in), dtype=np.int64)
+    for r, lane in product(range(M), range(p_in)):
+        sign = int(rng.choice([-1, 1])) if side is None else side
+        target = fmt.raw_max + step if sign > 0 else step - fmt.raw_min
+        edge = np.abs(rows_with_abs_sums(rng, [target], 3, cap)[0])
+        other = np.abs(rows_with_abs_sums(rng, [int(rng.integers(0, fmt.raw_max))], 2, cap)[0])
+        vals = np.concatenate([sign * edge, -sign * other])
+        products[r, lane::p_in] = vals if edge_first else rng.permutation(vals)
+    signs = rng.choice([-1, 1], products.shape[1])
+    return products * signs * gain, signs * m
+
+
+def lane_excess(W, x, fmt, p_in):
+    """How far the worst lane's positive or negative product sum passes the
+    format's edge, over every row, from the ``FxValue`` products."""
+    _, mul, _ = fixed_ops(fmt)
+    worst = -math.inf
+    for row in W.tolist():
+        prods = [mul(w, v) for w, v in zip(row, x.tolist())]
+        for lane in range(p_in):
+            vals = prods[lane::p_in]
+            pos = sum(v for v in vals if v > 0)
+            neg = sum(v for v in vals if v < 0)
+            worst = max(worst, pos - fmt.raw_max, fmt.raw_min - neg)
+    return worst
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1], ids=["inside", "on", "outside"])
+@pytest.mark.parametrize("p_in", [1, 2, 4, 8])
+@pytest.mark.parametrize("fmt", [FX16_3, FX10_1, FX8_8], ids=str)
+def test_lane_sum_edges_match_scalar_oracle(fmt, p_in, step):
+    """Row bounds that fail, with every lane's positive or negative product
+    sum one step inside the format, on its edge, or one step outside.  Inside
+    and on, no fold partial can clip and the lane sums are the result;
+    outside, the clipped fold runs, and with the edge products first it
+    clips.  Plain and lowered W must match the ``FxValue`` oracle either
+    way."""
+    rng = np.random.default_rng(1000 * p_in + step)
+    p = ParallelismParams(1, p_in)
+    mode = FixedMode(fmt)
+    add, mul, zero = fixed_ops(fmt)
+    for side, edge_first in product((1, -1, None), (True, False)):
+        W, x = lane_edge_operands(rng, fmt, p_in, 3, step, side, edge_first)
+        assert lane_excess(W, x, fmt, p_in) == step
+        lowered = _lower(W, p_in, mode)
+        assert mode.row_bound(lowered, int(np.abs(x).max())) > fmt.raw_max
+        want = scalar_matvec(W.tolist(), x.tolist(), None, p, add, mul, zero)
+        assert matvec(W, x, p=p, mode=mode).tolist() == want
+        assert matvec(lowered, x, p=p, mode=mode).tolist() == want
+
+
+def test_lane_sums_pinned_examples():
+    """fixed<8,8> on one lane, raws clipped to [-128, 127].  The positive sum
+    of [-100, 100, -100, 100] leaves the range, so the fold runs, but no
+    prefix clips: 0.  [100, 100, -100, -100] clips at its second add: -73.
+    [100, -100] times 2 saturates both products, to 127 and -128, and
+    neither sum leaves the range: -1."""
+    m = FixedMode(FX8_8)
+    assert one_row(np.array([-100, 100, -100, 100]), 1, mode=m) == 0
+    assert one_row(np.array([100, 100, -100, -100]), 1, mode=m) == -73
+    p = ParallelismParams(1, 1)
+    assert matvec(np.array([[100, -100]]), np.array([2, 2]), p=p, mode=m).tolist() == [-1]
+
+
+def test_empty_operands_past_the_row_bound():
+    """No rows, or no columns: with N = 200 > raw_max the row bound fails
+    even at m = 0, and the lane-sum test sees empty sums."""
+    m = FixedMode(FX8_8)
+    ones = np.ones((200, 2), dtype=np.int64)
+    assert matvec_cols(np.zeros((0, 200), np.int64), ones, mode=m).shape == (0, 2)
+    assert matvec_cols(ones.T, ones[:, :0], mode=m).shape == (2, 0)
+
+
+@pytest.mark.parametrize("p_in", [1, 2, 4, 8])
+@pytest.mark.parametrize("fmt", [FX16_3, FX10_1, FX8_8], ids=str)
+def test_matvec_cols_with_one_clipping_column_equals_per_column(fmt, p_in):
+    """Column 0's lanes all fit; column 1, its input doubled, has lanes that
+    do not, so the batched call takes the clipped fold for both columns.
+    Each column must still equal its own matvec and the ``FxValue`` oracle."""
+    rng = np.random.default_rng(p_in)
+    W, x = lane_edge_operands(rng, fmt, p_in, 3, -1)
+    X = np.stack([x, np.clip(2 * x, fmt.raw_min, fmt.raw_max)], axis=1)
+    assert lane_excess(W, X[:, 0], fmt, p_in) < 0 < lane_excess(W, X[:, 1], fmt, p_in)
+    p = ParallelismParams(1, p_in)
+    mode = FixedMode(fmt)
+    add, mul, zero = fixed_ops(fmt)
+    cols = matvec_cols(W, X, p=p, mode=mode)
+    for t in range(2):
+        want = scalar_matvec(W.tolist(), X[:, t].tolist(), None, p, add, mul, zero)
+        assert matvec(W, X[:, t], p=p, mode=mode).tolist() == want
+        assert cols[:, t].tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_configs
+from conftest import lattice_weights, small_configs
 from qwavenet import (
     DEFAULT_PARALLELISM,
     FixedMode,
@@ -33,25 +33,6 @@ from qwavenet.inference import _Session, static_headroom
 from qwavenet.queues import naive_dilated_conv_sequence
 
 TINY = ModelConfig(num_blocks=1, layers_per_block=4, channels=8)
-
-
-def lattice_weights(cfg, seed, scale=0.25):
-    """Random weights snapped to the fixed<27,8> grid.
-
-    Every value is a multiple of 2**-19 with magnitude at most ``scale``, so
-    at the scales used here it is exactly representable in float32, float64,
-    and fixed<27,8>.
-    """
-    ws = random_weights(cfg, seed=seed, scale=scale)
-
-    def snap(a):
-        return (np.round(a.astype(np.float64) * 2.0**19) / 2.0**19).astype(np.float32)
-
-    return WeightSet(
-        kernels=tuple((snap(k0), snap(k1)) for k0, k1 in ws.kernels),
-        fc_weight=snap(ws.fc_weight),
-        fc_bias=snap(ws.fc_bias),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +296,13 @@ STEP_MODES = ["real", "fixed<27,8>", "fixed<16,3>", "fixed<10,1>"]
     st.sampled_from(STEP_MODES),
     st.sampled_from([0.25, 2.0]),
 )
-@example(3, 6, 16, 0, False, "fixed<16,3>", 2.0)  # folds that never clip
+@example(3, 6, 16, 0, False, "fixed<16,3>", 2.0)  # exact lane sums, no fold
 @example(3, 6, 16, 0, False, "fixed<10,1>", 2.0)  # folds that clip
 def test_generate_naive_property(layers, channels, levels, seed, use_lattice, text, scale):
     """The queue generator equals the full-history oracle bit for bit, bins
-    and logits, in every mode.  Scale 2.0 drives the narrow formats onto the
-    clipped fold."""
+    and logits, in every mode.  Scale 2.0 fails the row bound in the narrow
+    formats: the pinned fixed<16,3> example then takes the exact lane sums,
+    and the fixed<10,1> one the clipped fold."""
     cfg = ModelConfig(
         num_blocks=1, layers_per_block=layers, channels=channels, quant_levels=levels
     )
@@ -343,8 +325,9 @@ def lowered(w, p, mode, bias=None):
 def test_stacked_step_matches_input_queue_reference(cfg, scale, seed):
     """The session's one stacked matvec per layer, with its product rings,
     gives the bits and counts of the input-queue step on separately lowered
-    k0 and k1, over enough steps that every ring wraps.  Scale 2.0 drives
-    the narrow formats onto the clipped fold."""
+    k0 and k1, over enough steps that every ring wraps.  Scale 2.0 fails
+    the row bound in the narrow formats, onto the exact lane sums and the
+    clipped fold."""
     ws = random_weights(cfg, seed=seed, scale=scale)
     specs = validate_config(cfg)
     params = default_layer_params(specs)
