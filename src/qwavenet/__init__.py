@@ -11,7 +11,6 @@ matvec engine's parallelism parameters.
 from .engine import (
     DEFAULT_PARALLELISM,
     CostEstimate,
-    OpStats,
     ParallelismParams,
     ShapeMismatchError,
     estimate_cycles,
@@ -31,6 +30,7 @@ from .fixedpoint import (
     to_real,
 )
 from .inference import (
+    OpStats,
     TeacherForcedTrace,
     Waveform,
     argmax_sample,

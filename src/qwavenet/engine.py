@@ -84,18 +84,6 @@ class ParallelismParams:
 DEFAULT_PARALLELISM = ParallelismParams(8, 4)
 
 
-@dataclass
-class OpStats:
-    """Running operation counters, threaded through matvec calls."""
-
-    matvec_calls: int = 0
-    mac_ops: int = 0
-
-    def record(self, rows: int, cols: int, n_vectors: int = 1) -> None:
-        self.matvec_calls += n_vectors
-        self.mac_ops += rows * cols * n_vectors
-
-
 @dataclass(frozen=True)
 class CostEstimate:
     mac_count: int
@@ -160,7 +148,7 @@ def _lower(W, p_in, mode, bias=None):
     return _Lowered(wd, W.shape, mode, mode.matrix_facts(wd, bias), bias)
 
 
-def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
+def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL):
     """Apply the engine matvec to every column of ``X``.
 
     W is (M, N), plain or lowered for this mode and ``p``'s lane count; X is
@@ -182,8 +170,6 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
     M, N = W.shape
     if X.ndim != 2 or X.shape[0] != N:
         raise ShapeMismatchError(f"matvec shapes {W.shape} vs {X.shape}")
-    if stats is not None:
-        stats.record(M, N, X.shape[1])
     # products[k, l, r, t] = W[r, k*p_in + l] * X[k*p_in + l, t]; rows and
     # columns are independent lanes, so evaluating them together keeps each
     # column's declared MAC/tree order exactly.  Both operands are
@@ -194,12 +180,12 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
     return out
 
 
-def matvec(W, x, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None):
+def matvec(W, x, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL):
     """Engine matvec: W (M, N) times x (N,), plus optional bias."""
     x = np.asarray(x)
     if x.ndim != 1:
         raise ShapeMismatchError(f"expected 1-D input vector, got shape {x.shape}")
-    return matvec_cols(W, x[:, None], bias, p, mode, stats)[:, 0]
+    return matvec_cols(W, x[:, None], bias, p, mode)[:, 0]
 
 
 def estimate_cycles(M: int, N: int, p: ParallelismParams) -> CostEstimate:

@@ -86,9 +86,6 @@ class FxValue:
                 f"[{self.fmt.raw_min}, {self.fmt.raw_max}]"
             )
 
-    def __float__(self) -> float:
-        return to_real(self)
-
 
 def _round_half_away(value: Fraction) -> int:
     n, d = value.numerator, value.denominator

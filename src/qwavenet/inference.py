@@ -128,12 +128,26 @@ def default_layer_params(layer_specs) -> tuple[ParallelismParams, ...]:
     )
 
 
+@dataclass
+class OpStats:
+    """Running operation counters of one session's network passes: matvecs,
+    and MACs (rows × columns per matvec)."""
+
+    matvec_calls: int = 0
+    mac_ops: int = 0
+
+    def record(self, rows: int, cols: int, n_vectors: int = 1) -> None:
+        self.matvec_calls += n_vectors
+        self.mac_ops += rows * cols * n_vectors
+
+
 class _Session:
     """A configured model lowered into one numeric mode: native-format
     layer matrices and FC weight with its bias, one zeroed product ring per
     layer in sweep order, a step count, an empty input history for the
-    full-history backend, and the run's ``OpStats`` counter, if any, which
-    every matvec of the session records to.
+    full-history backend, and the run's ``OpStats`` counter, if any.  The
+    session is the only code that counts: the engine's matvecs are pure
+    functions of their operands, so each backend records its own calls.
 
     Each (out, in) matrix is lowered once, input-major and dealt onto the
     lanes of the layer that reads it, with the mode's static facts (the
@@ -195,7 +209,7 @@ class _Session:
         Each layer makes one stacked matvec on its input: the k1 half adds to
         the ring row written d steps ago, and the k0 half takes that row's
         place.  Engine rows are independent lanes, so each half has its own
-        matvec's bits, and the call counts as two matvecs.  When given,
+        matvec's bits, and the call is recorded as two matvecs.  When given,
         ``observe(i, out)`` is called after each layer, in sweep order, with
         the layer's index and its output in the mode's native representation.
         """
@@ -212,7 +226,7 @@ class _Session:
             if observe is not None:
                 observe(i, cur)
         self.steps = t + 1
-        return matvec(self.fc_wt, cur, mode=mode, stats=stats)
+        return self._readout(cur)
 
     def forward_naive(self, x_scalar: float):
         """``forward`` without queues: appends the input to the history,
@@ -222,9 +236,18 @@ class _Session:
         step_in = mode.from_real(np.array([[x_scalar]], dtype=np.float64))
         self.history = act = np.concatenate([self.history, step_in], axis=0)
         for spec, (k0, k1), p in zip(self.specs, self.kernels, self.params):
-            lin = naive_dilated_conv_sequence(act, k0, k1, spec.dilation, p=p, mode=mode, stats=stats)
+            lin = naive_dilated_conv_sequence(act, k0, k1, spec.dilation, p=p, mode=mode)
             act = mode.tanh(lin)
-        return matvec(self.fc_wt, act[-1], mode=mode, stats=stats)
+            if stats is not None:
+                stats.record(*k0.shape, 2 * len(act))
+        return self._readout(act[-1])
+
+    def _readout(self, act):
+        """The FC projection of the last layer's output: native logits, one
+        recorded matvec."""
+        if self.stats is not None:
+            self.stats.record(*self.fc_wt.shape)
+        return matvec(self.fc_wt, act, mode=self.mode)
 
 
 def _run(session: _Session, backend, forced, n: int, logit_sink=None) -> np.ndarray:

@@ -78,25 +78,21 @@ class LayerState:
         return cls(queue=CyclicQueue(spec.dilation, spec.in_channels, dtype=dtype))
 
 
-def dilated_conv_step(
-    state: LayerState, prev_out, k0, k1, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None
-):
+def dilated_conv_step(state: LayerState, prev_out, k0, k1, p=DEFAULT_PARALLELISM, mode=_REAL):
     """One layer, one time step, via the queue.
 
     Computes tanh(k0 × (queue front) + k1 × prev_out), then pushes prev_out
     so it surfaces again ``dilation`` steps later.  k0 and k1 are (out, in)
     matrices, plain arrays or lowered by the engine for ``mode`` and ``p``.
     """
-    delayed = matvec(k0, state.queue.front(), p=p, mode=mode, stats=stats)
-    current = matvec(k1, prev_out, p=p, mode=mode, stats=stats)
+    delayed = matvec(k0, state.queue.front(), p=p, mode=mode)
+    current = matvec(k1, prev_out, p=p, mode=mode)
     out = mode.tanh(_add_taps(delayed, current, mode))
     state.queue.push(prev_out)
     return out
 
 
-def naive_dilated_conv_sequence(
-    history, k0, k1, dilation: int, p=DEFAULT_PARALLELISM, mode=_REAL, stats=None
-):
+def naive_dilated_conv_sequence(history, k0, k1, dilation: int, p=DEFAULT_PARALLELISM, mode=_REAL):
     """Dilated convolution at every step of the history at once.
 
     Returns (T, out_channels); row t is k0 × history[t - dilation] + k1 ×
@@ -110,8 +106,8 @@ def naive_dilated_conv_sequence(
         raise ShapeMismatchError(f"history must be (T >= 1, channels), got {history.shape}")
     delayed = np.zeros_like(history)
     delayed[dilation:] = history[: max(history.shape[0] - dilation, 0)]
-    delayed = matvec_cols(k0, delayed.T, p=p, mode=mode, stats=stats)
-    current = matvec_cols(k1, history.T, p=p, mode=mode, stats=stats)
+    delayed = matvec_cols(k0, delayed.T, p=p, mode=mode)
+    current = matvec_cols(k1, history.T, p=p, mode=mode)
     return _add_taps(delayed, current, mode).T
 
 

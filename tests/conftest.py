@@ -4,14 +4,13 @@ The acceptance tests in ``test_acceptance.py`` record a one-line verdict per
 criterion via :func:`record_criterion`; the hook below prints the collected
 lines in the terminal summary so they are visible even when output capture is
 on.  ``small_configs`` is the Hypothesis strategy for small model configs that
-several test modules draw from, and ``lattice_weights`` snaps random weights
-to the fixed<27,8> grid.
+several test modules draw from, and ``expected_op_counts`` gives the
+``OpStats`` a run of either generator must record.
 """
 
-import numpy as np
 from hypothesis import strategies as st
 
-from qwavenet import ModelConfig, WeightSet, random_weights
+from qwavenet import ModelConfig, OpStats, validate_config
 
 
 def small_configs():
@@ -25,22 +24,22 @@ def small_configs():
     )
 
 
-def lattice_weights(cfg, seed, scale=0.25):
-    """Random weights snapped to the fixed<27,8> grid.
+def expected_op_counts(cfg, steps):
+    """The ``OpStats`` of ``steps`` network passes: (queue path, full-history path).
 
-    Every value is a multiple of 2**-19 with magnitude at most ``scale``, so
-    at the scales used here it is exactly representable in float32, float64,
-    and fixed<27,8>.
+    With L layers, C = Σ 2·out·in over them and F = levels·channels for the
+    readout, a queue step makes 2L + 1 matvecs and C + F MACs.  The
+    full-history path's step t (from 1) re-evaluates t history rows: 2L·t
+    matvecs and C·t MACs, plus the readout.
     """
-    ws = random_weights(cfg, seed=seed, scale=scale)
-
-    def snap(a):
-        return (np.round(a.astype(np.float64) * 2.0**19) / 2.0**19).astype(np.float32)
-
-    return WeightSet(
-        kernels=tuple((snap(k0), snap(k1)) for k0, k1 in ws.kernels),
-        fc_weight=snap(ws.fc_weight),
-        fc_bias=snap(ws.fc_bias),
+    specs = validate_config(cfg)
+    layers = len(specs)
+    c = sum(2 * s.out_channels * s.in_channels for s in specs)
+    f = cfg.quant_levels * cfg.channels
+    rows = steps * (steps + 1) // 2
+    return (
+        OpStats((2 * layers + 1) * steps, (c + f) * steps),
+        OpStats(2 * layers * rows + steps, c * rows + f * steps),
     )
 
 

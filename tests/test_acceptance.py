@@ -39,7 +39,7 @@ from qwavenet import (
 from qwavenet.cli import RunReport, _sha256_file
 from qwavenet.model import config_digest
 
-from conftest import lattice_weights, record_criterion
+from conftest import expected_op_counts, record_criterion
 
 DEFAULT = ModelConfig()
 BUNDLE_WEIGHT_SEED = 2020
@@ -68,7 +68,7 @@ def default_real_16k(bundle_weights):
 
 def test_criterion_1_generator_oracle_equivalence():
     """20 random small configs: queue generator == full-recompute reference,
-    bit for bit, on lattice and off-lattice weights alike."""
+    bit for bit."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(1234)
     n_configs = 20
@@ -78,9 +78,7 @@ def test_criterion_1_generator_oracle_equivalence():
             layers_per_block=int(rng.integers(2, 7)),
             channels=int(rng.integers(2, 17)),
         )
-        use_lattice = i % 2 == 0
-        w_seed = int(rng.integers(0, 2**31))
-        ws = lattice_weights(cfg, w_seed) if use_lattice else random_weights(cfg, seed=w_seed)
+        ws = random_weights(cfg, seed=int(rng.integers(0, 2**31)))
         seed_len = int(rng.integers(0, 41))
         seed = rng.uniform(-1, 1, seed_len) if seed_len else None
 
@@ -234,7 +232,8 @@ def test_criterion_4_throughput_floor(
 
 
 def test_criterion_5_constant_work_per_sample(default_real_16k, bundle_weights):
-    """Matvec count per sample is flat for the queue path, growing for naive."""
+    """Matvec count per sample is flat for the queue path, growing for naive;
+    both paths record exactly their analytic counts."""
     _, _, stats_16k = default_real_16k
     counts = {}
     for n in (1, 1000):
@@ -253,31 +252,30 @@ def test_criterion_5_constant_work_per_sample(default_real_16k, bundle_weights):
     # spans are equal width (20 samples) so the deltas compare like for like
     tiny = ModelConfig(num_blocks=1, layers_per_block=4, channels=8)
     tiny_ws = random_weights(tiny, seed=1)
-    macs = {}
+    macs, fast_macs = {}, {}
+    exact = True
     for n in (20, 40, 60):
-        stats = OpStats()
-        generate_naive(tiny, tiny_ws, n=n, stats=stats)
-        macs[n] = stats.mac_ops
+        fast, naive = OpStats(), OpStats()
+        generate(tiny, tiny_ws, n=n, stats=fast)
+        generate_naive(tiny, tiny_ws, n=n, stats=naive)
+        exact = exact and (fast, naive) == expected_op_counts(tiny, n + 1)
+        fast_macs[n], macs[n] = fast.mac_ops, naive.mac_ops
     d1 = macs[40] - macs[20]
     d2 = macs[60] - macs[40]
     growing = d2 > d1
-
-    fast_macs = {}
-    for n in (20, 40, 60):
-        stats = OpStats()
-        generate(tiny, tiny_ws, n=n, stats=stats)
-        fast_macs[n] = stats.mac_ops
     fast_flat = (fast_macs[40] - fast_macs[20]) == (fast_macs[60] - fast_macs[40])
 
-    ok = flat and growing and fast_flat
+    ok = flat and growing and fast_flat and exact
     record_criterion(
         "criterion 5: constant matvec count per generated sample",
         ok,
         f"{MATVECS_PER_SAMPLE} matvecs/sample at n=1, 1000, 16000; "
-        f"naive per-sample cost grows ({d1} -> {d2} MACs per 20 samples)",
+        f"naive per-sample cost grows ({d1} -> {d2} MACs per 20 samples); "
+        "both paths' counts exact",
     )
     assert growing
     assert fast_flat
+    assert exact
 
 
 def test_criterion_6_quantization_roundtrip():

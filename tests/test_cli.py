@@ -170,28 +170,6 @@ def test_generate_zero_length(model_files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_generate_refuses_rate_past_wav_header(tmp_path, capsys):
-    # the config stores 2**31 Hz, but a WAV header's byte rate (rate * 2) is a
-    # u32: the write is refused before the file is opened
-    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=2, quant_levels=4,
-                      sample_rate=2**31)
-    cfg_path, w_path, out = tmp_path / "model.json", tmp_path / "w.bin", tmp_path / "out.wav"
-    save_config(cfg, cfg_path)
-    save_weights(w_path, random_weights(cfg, seed=1), cfg)
-    rc = run_cli(
-        [
-            "generate",
-            "--config", str(cfg_path),
-            "--weights", str(w_path),
-            "--seconds", "1e-9",
-            "--out", str(out),
-        ]
-    )
-    assert rc == 1
-    assert "sample_rate must be in" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_generate_refuses_rate_before_the_run(tmp_path, capsys, monkeypatch):
     # 1 ms at 2**31 Hz is about 2.1 million samples: the rate no WAV can hold
     # must be refused before generation starts, not after it

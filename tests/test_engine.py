@@ -24,7 +24,6 @@ from qwavenet import (
     FixedMode,
     FxFormat,
     FxValue,
-    OpStats,
     ParallelismParams,
     RealMode,
     ShapeMismatchError,
@@ -611,21 +610,6 @@ def test_matvec_cols_rejects_bad_shapes():
         matvec_cols(np.ones((2, 3)), np.ones((4, 5)))
     with pytest.raises(ShapeMismatchError):
         matvec_cols(np.ones((2, 3)), np.ones(3))
-
-
-# ---------------------------------------------------------------------------
-# statistics
-
-
-def test_opstats_counting():
-    stats = OpStats()
-    W = np.ones((3, 4))
-    matvec(W, np.ones(4), stats=stats)
-    assert stats.matvec_calls == 1
-    assert stats.mac_ops == 12
-    matvec_cols(W, np.ones((4, 5)), stats=stats)
-    assert stats.matvec_calls == 6
-    assert stats.mac_ops == 12 * 6
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_weights, small_configs
+from conftest import expected_op_counts, small_configs
 from qwavenet import (
     DEFAULT_PARALLELISM,
     FixedMode,
@@ -252,14 +252,32 @@ def test_generate_empty_seed_equals_zero_seed():
     assert np.array_equal(a.bins, b.bins)
 
 
+STEP_MODES = ["real", "fixed<27,8>", "fixed<16,3>", "fixed<10,1>"]
+COUNTED = ModelConfig(num_blocks=2, layers_per_block=3, channels=6, quant_levels=32)
+
+
+def recorded_counts(gen, n, text):
+    """The ``OpStats`` of one run of ``gen`` on COUNTED: 3 seed samples, then n."""
+    stats = OpStats()
+    ws = random_weights(COUNTED, seed=4, scale=2.0)
+    gen(COUNTED, ws, seed_samples=[0.5, -0.25, 0.75], n=n, mode=parse_mode(text), stats=stats)
+    return stats
+
+
 def test_generate_matvec_count_is_constant_per_sample():
-    # 2 matvecs per layer plus the readout, for seed pass and every sample
-    ws = random_weights(TINY, seed=3)
-    per_sample = 2 * TINY.total_layers + 1
-    for n in (1, 5, 17):
-        stats = OpStats()
-        generate(TINY, ws, n=n, stats=stats)
-        assert stats.matvec_calls == per_sample * (n + 1)
+    """The queue path records (2L+1)·S matvecs and (C+F)·S MACs for S =
+    seed + n steps, in every mode (``expected_op_counts``)."""
+    for text in STEP_MODES:
+        for n in (1, 5, 17):
+            assert recorded_counts(generate, n, text) == expected_op_counts(COUNTED, 3 + n)[0]
+
+
+def test_generate_naive_counts_grow_with_history():
+    """The full-history path records 2L·S(S+1)/2 + S matvecs and
+    C·S(S+1)/2 + F·S MACs for S = seed + n steps, in every mode."""
+    for text in STEP_MODES:
+        for n in (1, 5, 17):
+            assert recorded_counts(generate_naive, n, text) == expected_op_counts(COUNTED, 3 + n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +301,18 @@ def test_generate_matches_naive_recompute(mode):
     assert np.array_equal(sink_fast, sink_naive)
 
 
-STEP_MODES = ["real", "fixed<27,8>", "fixed<16,3>", "fixed<10,1>"]
-
-
 @settings(max_examples=8, deadline=None)
 @given(
     st.integers(2, 3),
     st.integers(2, 6),
     st.integers(8, 32),
     st.integers(0, 10_000),
-    st.booleans(),
     st.sampled_from(STEP_MODES),
     st.sampled_from([0.25, 2.0]),
 )
-@example(3, 6, 16, 0, False, "fixed<16,3>", 2.0)  # exact lane sums, no fold
-@example(3, 6, 16, 0, False, "fixed<10,1>", 2.0)  # folds that clip
-def test_generate_naive_property(layers, channels, levels, seed, use_lattice, text, scale):
+@example(3, 6, 16, 0, "fixed<16,3>", 2.0)  # exact lane sums, no fold
+@example(3, 6, 16, 0, "fixed<10,1>", 2.0)  # folds that clip
+def test_generate_naive_property(layers, channels, levels, seed, text, scale):
     """The queue generator equals the full-history oracle bit for bit, bins
     and logits, in every mode.  Scale 2.0 fails the row bound in the narrow
     formats: the pinned fixed<16,3> example then takes the exact lane sums,
@@ -306,8 +320,7 @@ def test_generate_naive_property(layers, channels, levels, seed, use_lattice, te
     cfg = ModelConfig(
         num_blocks=1, layers_per_block=layers, channels=channels, quant_levels=levels
     )
-    weights = lattice_weights if use_lattice else random_weights
-    ws = weights(cfg, seed=seed, scale=scale)
+    ws = random_weights(cfg, seed=seed, scale=scale)
     mode = parse_mode(text)
     sink_fast, sink_naive = [], []
     fast = generate(cfg, ws, n=40, mode=mode, logit_sink=sink_fast)
@@ -324,8 +337,9 @@ def lowered(w, p, mode, bias=None):
 @given(small_configs(), st.sampled_from([0.25, 2.0]), st.integers(0, 2**31))
 def test_stacked_step_matches_input_queue_reference(cfg, scale, seed):
     """The session's one stacked matvec per layer, with its product rings,
-    gives the bits and counts of the input-queue step on separately lowered
-    k0 and k1, over enough steps that every ring wraps.  Scale 2.0 fails
+    gives the bits of the input-queue step on separately lowered k0 and k1,
+    over enough steps that every ring wraps, and records the analytic count
+    of each step.  Scale 2.0 fails
     the row bound in the narrow formats, onto the exact lane sums and the
     clipped fold."""
     ws = random_weights(cfg, seed=seed, scale=scale)
@@ -334,8 +348,7 @@ def test_stacked_step_matches_input_queue_reference(cfg, scale, seed):
     xs = np.random.default_rng(seed).uniform(-1, 1, max(s.dilation for s in specs) + 3)
     for text in STEP_MODES:
         mode = parse_mode(text)
-        sess_stats, ref_stats = OpStats(), OpStats()
-        sess = _Session(cfg, ws, mode, sess_stats)
+        sess = _Session(cfg, ws, mode, OpStats())
         states = [LayerState.fresh(s, dtype=mode.dtype) for s in specs]
         pairs = [(lowered(k0, p, mode), lowered(k1, p, mode)) for (k0, k1), p in zip(ws.kernels, params)]
         fc = lowered(ws.fc_weight.T, DEFAULT_PARALLELISM, mode, mode.from_real(ws.fc_bias))
@@ -344,11 +357,11 @@ def test_stacked_step_matches_input_queue_reference(cfg, scale, seed):
             logits = sess.forward(x, observe=lambda i, out: outs.append(out))
             cur = mode.from_real(np.array([x]))
             for i, (state, (k0, k1), p) in enumerate(zip(states, pairs, params)):
-                cur = dilated_conv_step(state, cur, k0, k1, p=p, mode=mode, stats=ref_stats)
+                cur = dilated_conv_step(state, cur, k0, k1, p=p, mode=mode)
                 assert np.array_equal(outs[i], cur), f"{text}: layer {i}, step {t}"
-            want = matvec(fc, cur, p=DEFAULT_PARALLELISM, mode=mode, stats=ref_stats)
+            want = matvec(fc, cur, p=DEFAULT_PARALLELISM, mode=mode)
             assert np.array_equal(logits, want), f"{text}: logits, step {t}"
-        assert sess_stats == ref_stats, text
+            assert sess.stats == expected_op_counts(cfg, t + 1)[0], f"{text}: counts, step {t}"
 
 
 # ---------------------------------------------------------------------------

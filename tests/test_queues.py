@@ -18,7 +18,6 @@ from qwavenet import (
     LayerSpec,
     LayerState,
     ModelConfig,
-    OpStats,
     ParallelismParams,
     RealMode,
     ShapeMismatchError,
@@ -280,15 +279,3 @@ def test_queue_stack_matches_naive_recompute(mode):
         lin = naive_dilated_conv_sequence(act, k0, k1, spec.dilation, p=P84, mode=mode)
         act = mode.tanh(lin)
     assert np.array_equal(queue_outs, act)
-
-
-def test_conv_step_counts_two_matvecs():
-    stats = OpStats()
-    spec = LayerSpec(1, 1, 3, 4, dilation=2)
-    state = LayerState.fresh(spec)
-    rng = np.random.default_rng(0)
-    k0 = rng.uniform(-1, 1, (4, 3))
-    k1 = rng.uniform(-1, 1, (4, 3))
-    dilated_conv_step(state, np.zeros(3), k0, k1, p=P84, stats=stats)
-    assert stats.matvec_calls == 2
-    assert stats.mac_ops == 2 * 4 * 3
