@@ -200,6 +200,7 @@ def estimate_cycles(M: int, N: int, p: ParallelismParams) -> CostEstimate:
     if M < 1 or N < 1:
         raise ValueError(f"matrix dims must be >= 1, got {M}x{N}")
     p_out, p_in = p.num_parallel_out, p.num_parallel_in
+    _check_lanes(p_in)
     depth = p_in.bit_length() - 1
     cycles = math.ceil(M / p_out) * (math.ceil(N / p_in) + depth + 1)
     return CostEstimate(

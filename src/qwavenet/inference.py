@@ -38,7 +38,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .engine import DEFAULT_PARALLELISM, ParallelismParams, _lower, matvec
-from .model import ModelConfig, validate_config
+from .model import _FIELD_MAX, ModelConfig, validate_config
 from .numerics import FixedMode, RealMode, _round_half_away_f64
 from .queues import naive_dilated_conv_sequence
 from .weights import WeightSet
@@ -51,11 +51,12 @@ _REAL = RealMode()
 
 
 def _check_levels(levels) -> None:
-    """A level count is an int (``FxFormat``'s rule) of at least 2."""
+    """A level count is an int (``FxFormat``'s rule) in [2, 2**32 - 1], the
+    ``ModelConfig`` field bound, below which float64 holds every bin exactly."""
     if type(levels) is not int:
         raise TypeError(f"levels must be an int, got {levels!r}")
-    if levels < 2:
-        raise ValueError(f"levels must be >= 2, got {levels}")
+    if not 2 <= levels <= _FIELD_MAX:
+        raise ValueError(f"levels must be in [2, {_FIELD_MAX}], got {levels}")
 
 
 def quantize(x, levels: int):
@@ -211,7 +212,9 @@ class _Session:
         place.  Engine rows are independent lanes, so each half has its own
         matvec's bits, and the call is recorded as two matvecs.  When given,
         ``observe(i, out)`` is called after each layer, in sweep order, with
-        the layer's index and its output in the mode's native representation.
+        the layer's index and its output in the mode's native representation,
+        before the step count advances: ``self.steps`` is still the index of
+        the step being run.
         """
         mode, stats, t = self.mode, self.stats, self.steps
         cur = mode.from_real(np.array([x_scalar], dtype=np.float64))
@@ -353,13 +356,13 @@ class TeacherForcedTrace:
     """Per-step network record under a forced input sequence.
 
     layer_outputs maps global layer index (0-based, sweep order) to a
-    (steps, out_channels) float64 activation trace; bins/samples hold the
-    model's per-step predictions, which are never fed back.
+    (steps, out_channels) float64 activation trace; bins holds the model's
+    per-step argmax predictions, which are never fed back (``dequantize``
+    turns them into samples).
     """
 
     layer_outputs: dict
     bins: np.ndarray
-    samples: np.ndarray
 
 
 def teacher_forced_layer_outputs(
@@ -380,24 +383,17 @@ def teacher_forced_layer_outputs(
 
     session = _Session(cfg, ws, mode)
     n_layers = len(session.specs)
-    if record_layers is None:
-        record_layers = range(n_layers)
-    record_layers = list(record_layers)
-    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in record_layers):
-        raise ValueError(f"record_layers must be integer indices, got {record_layers!r}")
-    record_layers = sorted({int(i) for i in record_layers})
-    if record_layers and not 0 <= record_layers[0] <= record_layers[-1] < n_layers:
-        raise ValueError(f"record_layers out of range [0, {n_layers - 1}]")
-
-    layer_outputs = {
-        i: np.empty((inputs.size, session.specs[i].out_channels), dtype=np.float64)
-        for i in record_layers
-    }
-    rows = {i: iter(trace) for i, trace in layer_outputs.items()}
+    layer_outputs = {}
+    for i in range(n_layers) if record_layers is None else record_layers:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"record_layers must be integer indices, got {i!r}")
+        if not 0 <= i < n_layers:
+            raise ValueError(f"record_layers out of range [0, {n_layers - 1}], got {i}")
+        layer_outputs[int(i)] = np.empty((inputs.size, session.specs[i].out_channels))
 
     def record(i, out):
-        if i in rows:
-            next(rows[i])[:] = mode.to_real(out)
+        if i in layer_outputs:
+            layer_outputs[i][session.steps] = mode.to_real(out)
 
     bins = _run(session, partial(_Session.forward, observe=record), inputs, 0)
-    return TeacherForcedTrace(layer_outputs, bins, dequantize(bins, cfg.quant_levels))
+    return TeacherForcedTrace(layer_outputs, bins)

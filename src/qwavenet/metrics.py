@@ -45,6 +45,8 @@ class SpectrogramParams:
             raise ValueError(f"hop must be in [1, {w}], got {self.hop}")
         if self.window not in _WINDOW_KINDS:
             raise ValueError(f"window must be one of {_WINDOW_KINDS}, got {self.window!r}")
+        if isinstance(self.epsilon, bool):
+            raise TypeError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 

@@ -11,7 +11,6 @@ at seed 2020, scale 0.25, teacher-forced on 16000 uniform random samples
 drawn at seed 4242.
 """
 
-import math
 import time
 
 import numpy as np

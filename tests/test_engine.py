@@ -120,6 +120,13 @@ def test_matvec_cols_rejects_lane_count_not_power_of_two():
         matvec(np.ones((2, 6)), np.ones(6), p=p)
 
 
+def test_estimate_cycles_rejects_lane_count_not_power_of_two():
+    # it used to price a 3-lane tree at 16 cycles that no matvec could run
+    p = SimpleNamespace(num_parallel_out=1, num_parallel_in=3)
+    with pytest.raises(ValueError, match="power of two"):
+        estimate_cycles(4, 6, p)
+
+
 def test_reduction_order_is_observable_under_saturation():
     """Saturation makes evaluation order visible; pin all three variants.
 

@@ -288,7 +288,7 @@ def test_quantize_real_rejects_nan():
     st.lists(raws(FX27_8), min_size=1, max_size=40),
     st.lists(raws(FX27_8), min_size=1, max_size=40),
 )
-def test_add_mul_raw_match_scalar(a_list, b_list):
+def test_fixed_mode_add_and_mul_raw_match_scalar(a_list, b_list):
     n = min(len(a_list), len(b_list))
     a = np.array(a_list[:n], dtype=np.int64)
     b = np.array(b_list[:n], dtype=np.int64)
@@ -300,7 +300,7 @@ def test_add_mul_raw_match_scalar(a_list, b_list):
 
 @settings(max_examples=50)
 @given(st.lists(raws(FX27_8), min_size=1, max_size=40))
-def test_tanh_raw_matches_scalar(a_list):
+def test_fixed_mode_tanh_matches_scalar(a_list):
     a = np.array(a_list, dtype=np.int64)
     got = FixedMode(FX27_8).tanh(a)
     want = [fx_tanh(FxValue(int(x), FX27_8)).raw for x in a]
@@ -317,7 +317,7 @@ def test_mul_raw_narrow_format(a_list, b_list):
     assert np.array_equal(mul_raw(a, b, FMT8), np.array(want))
 
 
-def test_raw_to_real_scaling():
+def test_fixed_mode_to_real_scaling():
     raws_arr = np.array([0, 1, -1, 2**19, FX27_8.raw_max, FX27_8.raw_min])
     out = FixedMode(FX27_8).to_real(raws_arr)
     assert out.dtype == np.float64

@@ -64,6 +64,23 @@ def test_quantize_validation():
         dequantize(-1, 256)
 
 
+@pytest.mark.parametrize("levels", [2**32, 2**60], ids=["2**32", "2**60"])
+def test_quantize_refuses_level_counts_past_the_config_bound(levels):
+    # 2**60 levels put quantize(1.0) one past the last bin; 2**63 wrapped to -2**63
+    with pytest.raises(ValueError, match="levels"):
+        quantize(1.0, levels)
+    with pytest.raises(ValueError, match="levels"):
+        dequantize(0, levels)
+
+
+def test_quantize_roundtrips_the_ends_at_the_largest_level_count():
+    levels = 2**32 - 1
+    assert quantize(-1.0, levels) == 0
+    assert quantize(1.0, levels) == levels - 1
+    assert dequantize(quantize(-1.0, levels), levels) == -1.0
+    assert dequantize(quantize(1.0, levels), levels) == 1.0
+
+
 @pytest.mark.parametrize("levels", [16.5, 256.0, True, np.int64(256)])
 def test_quantize_takes_int_levels_only(levels):
     # 16.5 levels would put bin 3 at -0.6129 and 0.3 on bin 10, off any lattice
@@ -406,8 +423,6 @@ def test_teacher_forced_matches_direct_stack_evaluation():
         logits = matvec(ws.fc_weight.T, h, bias=ws.fc_bias)
         assert trace.bins[t] == argmax_sample(logits)
     assert trace.bins.shape == (120,)
-    assert trace.samples.shape == (120,)
-    assert np.array_equal(trace.samples, dequantize(trace.bins, cfg.quant_levels))
 
 
 @pytest.mark.parametrize("mode", [RealMode(), FixedMode()], ids=["real", "fixed"])
@@ -455,6 +470,14 @@ def test_teacher_forced_validation():
         teacher_forced_layer_outputs(cfg, ws, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         teacher_forced_layer_outputs(cfg, ws, np.array([]))
+
+
+@pytest.mark.parametrize("layers", [[2], [-1], [0, 2], np.array([1, 2])])
+def test_teacher_forced_refuses_out_of_range_layer_indices(layers):
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
+    ws = random_weights(cfg, seed=1)
+    with pytest.raises(ValueError, match="out of range"):
+        teacher_forced_layer_outputs(cfg, ws, np.zeros(3), record_layers=layers)
 
 
 @pytest.mark.parametrize("layers", [[0.5], [True], [np.float64(1.0)], [0, "1"]])

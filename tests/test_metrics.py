@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qwavenet import (
@@ -154,6 +154,8 @@ def test_spectrogram_params_validation():
         SpectrogramParams(epsilon=0.0)
     with pytest.raises(ValueError):
         SpectrogramParams(epsilon=float("inf"))
+    with pytest.raises(TypeError, match="epsilon"):
+        SpectrogramParams(epsilon=True)  # used to build with epsilon 1.0
 
 
 @pytest.mark.parametrize(
