@@ -2,10 +2,13 @@
 
 Subcommands:
 
-* ``generate`` — run the autoregressive generator and write a WAV file, with
-  an optional JSON run report (timings, throughput, config/weight digests,
-  Python/numpy versions and CPU count, and in fixed point each layer's
-  static headroom);
+* ``generate`` — run the autoregressive generator on one session and write a
+  WAV file, with an optional JSON run report read from that session (the
+  engine parallelism each layer ran at, its matvec and MAC counts, and in
+  fixed point each layer's static headroom) beside timings, throughput,
+  config/weight digests, Python/numpy versions and CPU count.  An output
+  path that names a directory, or lies in a missing one, is refused before
+  the session is built;
 * ``verify``   — self-check on a reduced version of the given config: the
   engine against a plain matvec, and the generator, with its rings of
   delayed-tap products, against the naive full-history reference, bit for
@@ -28,11 +31,12 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
 from .engine import ParallelismParams, estimate_cycles, matvec
-from .inference import default_layer_params, generate, generate_naive, static_headroom
+from .inference import _generate, _Session, generate, generate_naive, static_headroom
 from .metrics import SpectrogramParams, metric_report
 from .model import ModelConfig, config_digest, load_config, validate_config
 from .numerics import FixedMode, RealMode, parse_mode
@@ -50,6 +54,8 @@ class RunReport:
     config_digest: str
     weights_sha256: str
     static_headroom: list | None = None  # per layer, fixed point only
+    matvec_calls: int = 0
+    mac_ops: int = 0
     python: str = field(default_factory=platform.python_version)
     numpy: str = np.__version__
     cpu_count: int | None = field(default_factory=os.cpu_count)
@@ -76,6 +82,9 @@ def _parse_int_list(text: str) -> list[int]:
 def _cmd_generate(args) -> int:
     cfg = load_config(args.config)
     _check_sample_rate(cfg.sample_rate)  # before the run, not after it
+    for path in (args.out, args.report):
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValueError(f"{path}: not a file path in an existing directory")
     ws = load_weights(args.weights, cfg)
     mode = parse_mode(args.mode)
     n = int(round(args.seconds * cfg.sample_rate))
@@ -83,31 +92,30 @@ def _cmd_generate(args) -> int:
         raise ValueError(f"--seconds {args.seconds} yields no samples at {cfg.sample_rate} Hz")
 
     t0 = time.perf_counter()
-    wf = generate(cfg, ws, n=n, mode=mode)
+    session = _Session(cfg, ws, mode)
+    wf = _generate(session, _Session.forward, None, n)
     wall = time.perf_counter() - t0
     write_wav(args.out, wf.samples, wf.sample_rate)
 
-    layer_params = [
-        [p.num_parallel_out, p.num_parallel_in]
-        for p in default_layer_params(validate_config(cfg))
-    ]
-    report = RunReport(
-        samples_generated=n,
-        wall_time=wall,
-        throughput_hz=n / wall,
-        number_mode=str(mode),
-        layer_params=layer_params,
-        config_digest=config_digest(cfg),
-        weights_sha256=_sha256_file(args.weights),
-        static_headroom=static_headroom(cfg, ws, mode) if isinstance(mode, FixedMode) else None,
-    )
     if args.report:
+        report = RunReport(
+            samples_generated=n,
+            wall_time=wall,
+            throughput_hz=n / wall,
+            number_mode=str(mode),
+            layer_params=[[p.num_parallel_out, p.num_parallel_in] for p in session.params],
+            config_digest=config_digest(cfg),
+            weights_sha256=_sha256_file(args.weights),
+            static_headroom=static_headroom(session) if isinstance(mode, FixedMode) else None,
+            matvec_calls=session.stats.matvec_calls,
+            mac_ops=session.stats.mac_ops,
+        )
         with open(args.report, "w") as fh:
             json.dump(asdict(report), fh, indent=2)
             fh.write("\n")
     print(
         f"wrote {args.out}: {n} samples at {cfg.sample_rate} Hz "
-        f"in {wall:.2f}s ({report.throughput_hz:.1f} samples/s, mode {mode})"
+        f"in {wall:.2f}s ({n / wall:.1f} samples/s, mode {mode})"
     )
     return 0
 

@@ -146,8 +146,8 @@ class _Session:
     """A configured model lowered into one numeric mode: native-format
     layer matrices and FC weight with its bias, one zeroed product ring per
     layer in sweep order, a step count, an empty input history for the
-    full-history backend, and the run's ``OpStats`` counter, if any.  The
-    session is the only code that counts: the engine's matvecs are pure
+    full-history backend, and the run's ``OpStats``, given or its own.  The
+    session always counts, and only it does: the engine's matvecs are pure
     functions of their operands, so each backend records its own calls.
 
     Each (out, in) matrix is lowered once, input-major and dealt onto the
@@ -170,7 +170,7 @@ class _Session:
         self.cfg = cfg
         self.ws = ws
         self.mode = mode
-        self.stats = stats
+        self.stats = OpStats() if stats is None else stats
         self.specs = validate_config(cfg)
         self.params = default_layer_params(self.specs)
         self.fc_wt = self._lower_real(
@@ -221,8 +221,7 @@ class _Session:
         for i, (taps, ring, p) in enumerate(zip(self.taps, self.rings, self.params)):
             both = matvec(taps, cur, p=p, mode=mode)
             rows = ring.shape[1]
-            if stats is not None:
-                stats.record(rows, taps.shape[1], 2)
+            stats.record(rows, taps.shape[1], 2)
             row = ring[t % ring.shape[0]]
             cur = mode.tanh(mode.add(row, both[:rows]))
             row[:] = both[rows:]
@@ -241,15 +240,13 @@ class _Session:
         for spec, (k0, k1), p in zip(self.specs, self.kernels, self.params):
             lin = naive_dilated_conv_sequence(act, k0, k1, spec.dilation, p=p, mode=mode)
             act = mode.tanh(lin)
-            if stats is not None:
-                stats.record(*k0.shape, 2 * len(act))
+            stats.record(*k0.shape, 2 * len(act))
         return self._readout(act[-1])
 
     def _readout(self, act):
         """The FC projection of the last layer's output: native logits, one
         recorded matvec."""
-        if self.stats is not None:
-            self.stats.record(*self.fc_wt.shape)
+        self.stats.record(*self.fc_wt.shape)
         return matvec(self.fc_wt, act, mode=self.mode)
 
 
@@ -286,14 +283,16 @@ def _check_samples(samples, what: str) -> np.ndarray:
     return samples
 
 
-def _generate(backend, cfg, ws, seed_samples, n, mode, stats, logit_sink) -> Waveform:
+def _generate(session: _Session, backend, seed_samples, n, logit_sink=None) -> Waveform:
+    """Force the seed through ``backend`` on ``session``, then feed back ``n`` samples."""
     if type(n) is not int:
         raise TypeError(f"sample count must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     seed = _check_samples([] if seed_samples is None else seed_samples, "seed samples")
     seed = seed if seed.size else np.zeros(1)
-    bins = _run(_Session(cfg, ws, mode, stats), backend, seed, n, logit_sink)[len(seed):]
+    bins = _run(session, backend, seed, n, logit_sink)[len(seed):]
+    cfg = session.cfg
     return Waveform(
         samples=dequantize(bins, cfg.quant_levels), bins=bins, sample_rate=cfg.sample_rate
     )
@@ -314,7 +313,8 @@ def generate(
     When ``logit_sink`` is a list, the real-valued logits of every emitted
     sample are appended to it.
     """
-    return _generate(_Session.forward, cfg, ws, seed_samples, n, mode, stats, logit_sink)
+    session = _Session(cfg, ws, mode, stats)
+    return _generate(session, _Session.forward, seed_samples, n, logit_sink)
 
 
 def generate_naive(
@@ -332,23 +332,22 @@ def generate_naive(
     history and reads off the newest activation, so per-sample work grows
     with the time index.  Output contract matches ``generate`` exactly.
     """
-    return _generate(_Session.forward_naive, cfg, ws, seed_samples, n, mode, stats, logit_sink)
+    session = _Session(cfg, ws, mode, stats)
+    return _generate(session, _Session.forward_naive, seed_samples, n, logit_sink)
 
 
-def static_headroom(cfg: ModelConfig, ws: WeightSet, mode) -> list[float]:
-    """Per layer, in sweep order, for a fixed-point ``mode``: the
+def static_headroom(session: _Session) -> list[float]:
+    """Per layer, in sweep order, for a session in a fixed-point mode: the
     ``FixedMode.row_bound`` of its stacked taps at inputs |x| <= 1, as a share
-    of raw_max, read from the facts a session caches when it lowers them.
+    of raw_max, read from the facts the session cached when it lowered them.
     The stack's S_max is the larger of its two kernels', so this is the
     larger of their bounds.  Below 1, no matvec of the layer can saturate on
     inputs in [-1, 1]."""
+    mode = session.mode
     if not isinstance(mode, FixedMode):
         raise TypeError(f"static_headroom needs a fixed-point mode, got {mode}")
     fmt = mode.fmt
-    return [
-        mode.row_bound(taps, 1 << fmt.frac_bits) / fmt.raw_max
-        for taps in _Session(cfg, ws, mode).taps
-    ]
+    return [mode.row_bound(taps, 1 << fmt.frac_bits) / fmt.raw_max for taps in session.taps]
 
 
 @dataclass(frozen=True)

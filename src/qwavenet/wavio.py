@@ -48,7 +48,7 @@ def write_wav(path, samples, sample_rate: int) -> None:
     if not np.isfinite(samples).all():
         raise ValueError("samples hold non-finite values (NaN or infinity)")
     pcm = encode_pcm16(samples)
-    with wave.open(str(path), "wb") as fh:
+    with open(path, "wb") as f, wave.open(f, "wb") as fh:
         fh.setnchannels(CHANNELS)
         fh.setsampwidth(BIT_DEPTH // 8)
         fh.setframerate(sample_rate)

@@ -8,12 +8,15 @@ import platform
 
 import numpy as np
 import pytest
+from conftest import expected_op_counts
 
 from qwavenet import (
     FixedMode,
     ModelConfig,
     RealMode,
+    WeightSet,
     generate_naive,
+    parse_mode,
     queues,
     random_weights,
     save_config,
@@ -69,6 +72,9 @@ def test_generate_writes_wav_and_report(model_files, tmp_path, capsys):
     assert data["numpy"] == np.__version__
     assert data["cpu_count"] == os.cpu_count()
     assert data["static_headroom"] is None
+    # the session's own counts: one zero warm-up step, then the 50 samples
+    want = expected_op_counts(TINY, 51)[0]
+    assert (data["matvec_calls"], data["mac_ops"]) == (want.matvec_calls, want.mac_ops)
 
     rc = run_cli(
         [
@@ -85,6 +91,42 @@ def test_generate_writes_wav_and_report(model_files, tmp_path, capsys):
     headroom = json.loads(report.read_text())["static_headroom"]
     assert len(headroom) == TINY.total_layers
     assert all(0 < h < 1 for h in headroom)
+    # read from the run's session, it equals a fresh session's
+    fresh = inference._Session(TINY, random_weights(TINY, seed=11), parse_mode("fixed<27,8>"))
+    assert headroom == inference.static_headroom(fresh)
+
+
+@pytest.mark.parametrize("with_report", [False, True], ids=["no-report", "report"])
+def test_generate_builds_one_session(model_files, tmp_path, monkeypatch, with_report):
+    # one session per run, with or without the report: the L layers' stacked
+    # taps and the readout are each lowered once, and the weights validated
+    # once on load and once by the session
+    calls = {"lower": 0, "validate": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(inference, "_lower", counting("lower", inference._lower))
+    monkeypatch.setattr(WeightSet, "validate", counting("validate", WeightSet.validate))
+    cfg_path, w_path = model_files
+    report = ["--report", str(tmp_path / "run.json")] if with_report else []
+    rc = run_cli(
+        [
+            "generate",
+            "--config", str(cfg_path),
+            "--weights", str(w_path),
+            "--seconds", "0.1",
+            "--mode", "fixed<27,8>",
+            "--out", str(tmp_path / "out.wav"),
+            *report,
+        ]
+    )
+    assert rc == 0
+    assert calls == {"lower": TINY.total_layers + 1, "validate": 2}
 
 
 def test_generate_is_reproducible(model_files, tmp_path):
@@ -174,9 +216,9 @@ def test_generate_refuses_rate_before_the_run(tmp_path, capsys, monkeypatch):
     # 1 ms at 2**31 Hz is about 2.1 million samples: the rate no WAV can hold
     # must be refused before generation starts, not after it
     def refuse(*args, **kwargs):
-        raise AssertionError("generate called")
+        raise AssertionError("session built")
 
-    monkeypatch.setattr(cli, "generate", refuse)
+    monkeypatch.setattr(cli, "_Session", refuse)
     cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=2, quant_levels=4,
                       sample_rate=2**31)
     cfg_path, w_path, out = tmp_path / "model.json", tmp_path / "w.bin", tmp_path / "out.wav"
@@ -194,6 +236,38 @@ def test_generate_refuses_rate_before_the_run(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert "sample_rate must be in" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, name",
+    [("--out", "missing/out.wav"), ("--report", "missing/run.json"), ("--out", "")],
+    ids=["out-in-missing-dir", "report-in-missing-dir", "out-is-a-dir"],
+)
+def test_generate_refuses_output_paths_it_cannot_write_before_the_run(
+    model_files, tmp_path, capsys, monkeypatch, flag, name
+):
+    # an output path in a missing directory, or naming a directory, is
+    # refused before any session is built: no step runs, no file is left
+    def refuse(*args, **kwargs):
+        raise AssertionError("session built")
+
+    monkeypatch.setattr(cli, "_Session", refuse)
+    cfg_path, w_path = model_files
+    paths = {"--out": tmp_path / "out.wav", "--report": tmp_path / "run.json"}
+    paths[flag] = tmp_path / name
+    rc = run_cli(
+        [
+            "generate",
+            "--config", str(cfg_path),
+            "--weights", str(w_path),
+            "--seconds", "0.5",
+            "--out", str(paths["--out"]),
+            "--report", str(paths["--report"]),
+        ]
+    )
+    assert rc == 1
+    assert f"{paths[flag]}: not a file path in an existing directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "weights.bin"]
 
 
 def test_verify_passes(model_files, capsys):

@@ -513,13 +513,13 @@ def test_static_headroom_is_the_larger_row_bound_of_each_pair(text):
     ]
     # each tap holds the larger bound in some layer, so neither half alone passes
     assert any(b0 > b1 for b0, b1 in bounds) and any(b1 > b0 for b0, b1 in bounds)
-    assert static_headroom(cfg, ws, mode) == [max(pair) for pair in bounds]
+    assert static_headroom(_Session(cfg, ws, mode)) == [max(pair) for pair in bounds]
 
 
 def test_static_headroom_refuses_non_fixed_modes():
     cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
     with pytest.raises(TypeError, match="fixed-point mode"):
-        static_headroom(cfg, random_weights(cfg, seed=1), RealMode())
+        static_headroom(_Session(cfg, random_weights(cfg, seed=1), RealMode()))
 
 
 @pytest.mark.parametrize("mode", [RealMode(), FixedMode()], ids=["real", "fixed"])

@@ -142,6 +142,16 @@ def test_write_wav_refuses_non_finite(tmp_path, bad):
     assert not path.exists()
 
 
+def test_write_wav_into_a_missing_directory_raises_only_file_not_found(tmp_path):
+    # the file is opened before the wave writer is built, so no half-built
+    # writer reports an ignored exception when it is collected (the pytest
+    # configuration turns that report into an error)
+    path = tmp_path / "missing" / "a.wav"
+    with pytest.raises(FileNotFoundError):
+        write_wav(path, np.zeros(4), 16000)
+    assert not path.parent.exists()
+
+
 def test_read_rejects_stereo(tmp_path):
     path = tmp_path / "stereo.wav"
     with wave.open(str(path), "wb") as f:
