@@ -13,8 +13,9 @@ in real or fixed-point mode, regardless of how the work is batched.
 ``matvec_cols`` is the one evaluation path; ``matvec`` is its one-column
 case.  W is a plain (M, N) array, lowered with its bias on every call, or a
 matrix lowered once with its bias (``_Session`` keeps one per layer's
-stacked taps and one for the FC weight): the native weights dealt lane-major, ``(chunks, p_in,
-rows)``, plus the mode's static facts about them.  Both forms run the same
+stacked taps and one for the FC weight): the mode's operand for the native
+weights dealt lane-major, ``(chunks, p_in, rows)``, plus the mode's static
+facts about them, both from ``mode.lower``.  Both forms run the same
 kernel, which knows no number type: the mode supplies native operands and
 the arithmetic.  Products are laid out
 ``(chunks, p_in, rows, columns)``; the mode's ``mac`` multiplies and runs
@@ -24,11 +25,14 @@ arithmetic ``matvec`` would apply to it (elementwise IEEE ops are
 deterministic per element), so batching never changes a result; it only
 amortizes call overhead.
 
-In fixed point the static facts are S_max, the largest row sum of |W_raw|,
-and w_max, the largest |W_raw|.  With m the largest |x_raw| of a call, no
+In fixed point the operand is W_raw·2^-f in float64, and the static facts
+are S_max, the largest row sum of |W_raw|, w_max, the largest |W_raw|, and
+the rounding offset copysign(1/2, W), from which ``FixedMode.mac`` rounds
+every product exactly in float64.  With m the largest |x_raw| of a call, no
 rounded product, fold partial or tree partial exceeds
 ``(S_max·m >> f) + N``.  That bound decides first in ``FixedMode.mac``:
-when it fits the format the row sums are exact and need no clip.  Otherwise
+when it fits the format the row sums are exact and need no clip, and they
+are one contraction of the rounded products with sign(x).  Otherwise
 each lane's positive and negative sums of its products decide: when both are
 in range no fold partial can clip and the lane sums are exact; otherwise the
 clipped fold runs.  Raws outside the format range are refused: weights and
@@ -118,9 +122,10 @@ def _deal(a, p_in):
 class _Lowered:
     """An (M, N) weight matrix lowered once for one mode and lane count.
 
-    ``wd`` holds the native weights dealt lane-major, (chunks, p_in, M),
-    ``bias`` the native (M,) bias or None, and ``facts`` the mode's static
-    facts about both (``mode.matrix_facts``).
+    ``wd`` holds the mode's operand for the native weights dealt lane-major,
+    (chunks, p_in, M), and ``facts`` the mode's static facts about them and
+    the bias (both from ``mode.lower``); ``bias`` is the native (M,) bias or
+    None.
     """
 
     wd: np.ndarray
@@ -145,7 +150,8 @@ def _lower(W, p_in, mode, bias=None):
             raise ShapeMismatchError(f"bias shape {bias.shape}, expected ({W.shape[0]},)")
     _check_lanes(p_in)
     wd = _deal(np.ascontiguousarray(W.T), p_in)
-    return _Lowered(wd, W.shape, mode, mode.matrix_facts(wd, bias), bias)
+    operand, facts = mode.lower(wd, bias)
+    return _Lowered(operand, W.shape, mode, facts, bias)
 
 
 def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL):

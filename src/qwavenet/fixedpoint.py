@@ -8,9 +8,11 @@ Numeric rules, chosen once and applied everywhere:
 * overflow saturates to the format bounds, never wraps;
 * tanh is evaluated in double precision on the real value and requantized.
 
-A format is at most 32 bits wide, so int64 holds the product of any two
-raws.  The scalar operations here (:class:`FxValue`, ``fx_*``) use Python
-integers and are exact: they are the oracle for the array operations in
+A format is at most 27 bits wide, so the product of any two raws is at
+most 2**52 in magnitude and float64 holds it exactly, as int64 does; the
+engine's fixed-point matvec computes its rounded products in float64.  The
+scalar operations here (:class:`FxValue`, ``fx_*``) use Python integers and
+are exact: they are the oracle for the array operations in
 :mod:`qwavenet.numerics` (``FixedMode``, ``quantize_real``, ``mul_raw``),
 which give the same bits on int64 raws.
 """
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+MAX_TOTAL_BITS = 27
 _FORMAT_RE = re.compile(r"^fixed<\s*(\d+)\s*,\s*(\d+)\s*>$")
 
 
@@ -32,7 +35,10 @@ class FormatMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class FxFormat:
-    """Bit layout: ``total_bits`` (int, 2 to 32) overall, ``int_bits`` integer incl. sign."""
+    """Bit layout: ``total_bits`` (int, 2 to 27) overall, ``int_bits`` integer incl. sign.
+
+    The 27-bit limit keeps every raw product, at most raw_min**2 = 2**52 in
+    magnitude, exact in float64, which the fixed-point matvec relies on."""
 
     total_bits: int
     int_bits: int
@@ -40,8 +46,10 @@ class FxFormat:
     def __post_init__(self):
         if not all(type(w) is int for w in (self.total_bits, self.int_bits)):
             raise TypeError(f"widths must be ints, got {self.total_bits!r}, {self.int_bits!r}")
-        if not 2 <= self.total_bits <= 32:
-            raise ValueError(f"total_bits must be in [2, 32], got {self.total_bits}")
+        if not 2 <= self.total_bits <= MAX_TOTAL_BITS:
+            raise ValueError(
+                f"total_bits must be in [2, {MAX_TOTAL_BITS}], got {self.total_bits}"
+            )
         if not 1 <= self.int_bits <= self.total_bits:
             raise ValueError(
                 f"int_bits must be in [1, {self.total_bits}], got {self.int_bits}"

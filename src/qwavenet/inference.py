@@ -145,7 +145,8 @@ class OpStats:
 class _Session:
     """A configured model lowered into one numeric mode: native-format
     layer matrices and FC weight with its bias, one zeroed product ring per
-    layer in sweep order, a step count, an empty input history for the
+    layer in sweep order (``mode.zeros``: float64, or int32 raws in fixed
+    point), a step count, an empty input history for the
     full-history backend, and the run's ``OpStats``, given or its own.  The
     session always counts, and only it does: the engine's matvecs are pure
     functions of their operands, so each backend records its own calls.

@@ -2,16 +2,21 @@
 saturating fixed point, depending on which mode object it is handed.
 
 A mode owns the array representation.  ``RealMode`` stores float64 values;
-``FixedMode`` stores int64 raws of an :class:`~.fixedpoint.FxFormat` and
-holds its own saturating add and tanh.  ``native`` coerces an operand to the
-mode's representation, and ``from_real`` / ``to_real`` convert at the
-boundary; everything in between stays native.  ``matrix_facts`` and ``mac``
-are the mode's half of the engine datapath: the static facts kept with a
-lowered weight matrix and its bias, and the multiply plus sequential
-accumulation of lane-major products, whose partials the engine's reduction
-tree then combines.  In fixed point the accumulation skips its clips when
-they cannot fire: when the cached row bound fits the format, or when no
-lane's positive or negative product sum leaves it.
+``FixedMode`` stores int64 raws of an :class:`~.fixedpoint.FxFormat`, keeps
+them in int32 rings, and holds its own saturating add and tanh.  ``native``
+coerces an operand to the mode's representation, and ``from_real`` /
+``to_real`` convert at the boundary; everything in between stays native.
+``lower`` and ``mac`` are the mode's half of the engine datapath: the
+operand and static facts kept with a lowered weight matrix and its bias,
+and the multiply plus sequential accumulation of lane-major products, whose
+partials the engine's reduction tree then combines.  In fixed point the
+operand is W_raw·2^-f in float64 and a fact is the rounding offset
+copysign(1/2, W), so each rounded product is one multiply, one add and one
+truncation, all exact in float64 for formats of up to 27 bits.  The
+accumulation skips its clips when they cannot fire: when the cached row
+bound fits the format, the row sums are one contraction of the rounded
+products with sign(x); when no lane's positive or negative product sum
+leaves it, the lane sums are.
 
 The raw-array operations live here too: ``quantize_real`` and ``mul_raw``,
 and the rounding, saturation and operand rules ``FixedMode`` is built from.
@@ -58,25 +63,21 @@ def quantize_real(x, fmt: FxFormat):
     """Real array -> int64 raws; round half away from zero, then saturate.
 
     Scaling by ``2**frac_bits`` is a float64 exponent shift, so tie detection
-    is exact for every representable input.
+    is exact for every representable input.  The clip in place to bounds of
+    at most 27 bits is exact, infinities included, and puts the one cast in
+    range.
     """
     with np.errstate(over="ignore"):  # past float64 is +-inf, which saturates
         v = np.asarray(x, dtype=np.float64) * float(1 << fmt.frac_bits)
     if np.isnan(v).any():
         raise ValueError("cannot quantize NaN")
-    return _saturate_to_raws(_round_half_away_f64(v), fmt)
+    return _saturate_inplace(_round_half_away_f64(v), fmt).astype(np.int64)
 
 
 def _saturate_inplace(arr, fmt: FxFormat):
     np.minimum(arr, fmt.raw_max, out=arr)
     np.maximum(arr, fmt.raw_min, out=arr)
     return arr
-
-
-def _saturate_to_raws(r, fmt: FxFormat):
-    """Integral float64 values or infinities -> int64 raws: the clip in place to
-    bounds of at most 32 bits is exact, and puts the one cast in range."""
-    return _saturate_inplace(r, fmt).astype(np.int64)
 
 
 def mul_raw(a, b, fmt: FxFormat):
@@ -117,7 +118,8 @@ def _products_fit(a_max: int, b_max: int, fmt: FxFormat) -> bool:
 
 def _max_abs(arr, fmt: FxFormat) -> int:
     """Largest |raw| of an int64 array; a raw outside the format range is refused,
-    as ``FxValue`` refuses it, since its products could wrap int64."""
+    as ``FxValue`` refuses it, since its products could pass 2**52, beyond
+    what float64 holds exactly."""
     hi, lo = int(arr.max(initial=0)), int(arr.min(initial=0))
     if hi > fmt.raw_max or lo < fmt.raw_min:
         raise ValueError(
@@ -147,9 +149,10 @@ class RealMode:
     def tanh(self, x):
         return np.tanh(x)
 
-    def matrix_facts(self, wd, bias):
-        """Real arithmetic needs no static facts about a matrix."""
-        return None
+    def lower(self, wd, bias):
+        """Real arithmetic multiplies the dealt weights as they are and needs
+        no static facts about them."""
+        return wd, None
 
     def mac(self, w, xd):
         """Products of a lowered matrix and dealt columns, left-folded over the
@@ -173,7 +176,8 @@ class RealMode:
 @dataclass(frozen=True)
 class FixedMode:
     """Saturating fixed-point arithmetic; arrays are int64 raws of an
-    ``FxFormat``, whose 32-bit limit lets int64 hold every product."""
+    ``FxFormat``, whose 27-bit limit lets float64 hold every product exactly.
+    Product rings are int32: every value a ring keeps is a raw of the format."""
 
     fmt: FxFormat = FX27_8
 
@@ -189,7 +193,9 @@ class FixedMode:
         return np.divide(_as_raws(x), float(1 << self.fmt.frac_bits))
 
     def zeros(self, shape):
-        return np.zeros(shape, dtype=np.int64)
+        """Zeroed int32 storage: a raw of at most 27 bits fits a 32-bit word,
+        and ``add`` widens to int64 before it adds."""
+        return np.zeros(shape, dtype=np.int32)
 
     def add(self, a, b):
         """Saturating add of raws of the format (every engine and queue operand
@@ -198,21 +204,37 @@ class FixedMode:
 
     def tanh(self, x):
         """Double-precision tanh of the real value of raws, rounded half away
-        and saturated; |tanh| <= 1 needs no NaN test.  Float operands are
-        refused, as in ``add``."""
-        scale = float(1 << self.fmt.frac_bits)
-        r = _round_half_away_f64(np.tanh(_as_raws(x) / scale) * scale)
-        return _saturate_to_raws(r, self.fmt)
+        from zero; the result is always in range.  Float operands are
+        refused, as in ``add``.
 
-    def matrix_facts(self, wd, bias):
-        """(S_max, w_max) of dealt weight raws: the largest row sum of |W_raw|
-        and the largest |W_raw|, as Python ints.  Weight and bias raws outside
-        the format range are refused: ``add``'s int64 add would wrap such a
-        bias raw."""
+        v = tanh(x/2^f)·2^f is 0 at x = 0 and otherwise at least tanh(1) ≈ 0.76
+        in magnitude, as tanh(y)/y falls with |y| and |x| >= 1.  So v never
+        lies just below one half, where v + 1/2 would round up to 1, and for
+        |v| >= 1/2 (at most 2^26) adding copysign(1/2, v) cannot round across an
+        integer: trunc of the sum is v rounded half away from zero.  No clip
+        is needed: |v| <= 2^f <= raw_max when int_bits >= 2, and when
+        int_bits = 1 the real inputs lie in [-1, 1), where |v| <= tanh(1)·2^f
+        rounds to at most raw_max, and v >= -2^f = raw_min.
+        """
+        scale = float(1 << self.fmt.frac_bits)
+        v = np.tanh(_as_raws(x) / scale)
+        v *= scale
+        v += np.copysign(0.5, v)
+        return np.trunc(v, out=v).astype(np.int64)
+
+    def lower(self, wd, bias):
+        """The float64 operand W_raw·2^-f of dealt weight raws, and the facts
+        (S_max, w_max, C): the largest row sum of |W_raw| and the largest
+        |W_raw|, as Python ints, and the rounding offset C = copysign(1/2, W)
+        in the operand's layout.  Weight and bias raws outside the format
+        range are refused: ``add``'s int64 add would wrap such a bias raw.
+        Scaling by a power of two is exact, so the operand holds each raw."""
         w_max = _max_abs(wd, self.fmt)
         if bias is not None:
             _max_abs(bias, self.fmt)
-        return int(np.abs(wd).sum(axis=(0, 1)).max(initial=0)), w_max
+        s_max = int(np.abs(wd).sum(axis=(0, 1)).max(initial=0))
+        operand = wd * (1.0 / (1 << self.fmt.frac_bits))
+        return operand, (s_max, w_max, np.copysign(0.5, operand))
 
     def row_bound(self, w, m: int) -> int:
         """(S_max·m >> f) + N: with inputs |x_raw| <= m, no rounded product,
@@ -221,39 +243,68 @@ class FixedMode:
         return (w.facts[0] * m >> self.fmt.frac_bits) + w.shape[1]
 
     def mac(self, w, xd):
-        """Multiply, round and fold a lowered matrix with dealt columns.
+        """Multiply, round and fold a lowered matrix with dealt columns; the
+        int64 partials keep the (p_in, rows, columns) axes.
 
-        Each rounded product of a row is at most |W_raw|·m/2^f + 1/2, so any
-        partial sum of them is at most S_max·m/2^f + N/2, which ``row_bound``
-        covers.  When the bound fits the format, nothing saturates and the
-        exact row sum, in any order, is the result: it comes back as one
-        partial with no clip.  Otherwise the product is clipped only when
-        w_max·m shows that a rounded product can leave the range; products
-        are then at most 32 bits, so no int64 sum of them overflows.  Every
-        prefix of a lane's fold lies between the sums of its negative and
-        of its positive products, so when those are in range for every lane
-        no clip can fire and the lane sums are the fold's result.  Only
-        otherwise are the chunks left-folded with a clip after every add.
-        Input raws outside the format range are refused.
+        Rounded products: q = trunc(W_raw·2^-f·|x_raw| + C) is the product
+        rounded half away from zero, with the sign of W as |x_raw| >= 0, and
+        q·sign(x_raw) is ``fx_mul``'s rounded product before its clip.  Every
+        step is exact in float64: |W_raw·x_raw| <= 2^52, so W_raw·2^-f·|x_raw|
+        is exact; adding +-1/2 keeps a multiple of 2^-f within 53 significant
+        bits when f >= 1, and when f = 0 the one sum that does not fit,
+        +-(2^52 + 1/2), rounds to the even +-2^52, which truncates to itself.
+
+        Each |q| of a row is at most |W_raw|·m/2^f + 1/2, so Σ|q| is at most
+        S_max·m/2^f + N/2, which ``row_bound`` covers.  When the bound fits
+        the format, nothing saturates and the exact row sum is the result:
+        the contraction of q with sign(x) over the input axes, BLAS's ``@``
+        for one column.  Every partial sum of it, in any order, is an integer
+        of at most Σ|q| <= raw_max, so each is exact, and the sum is the same
+        in any order.  It comes back as one partial with no clip.
+
+        Otherwise the products are clipped only when w_max·m shows that one
+        can leave the range.  Every prefix of a lane's fold lies between the
+        sums of its negative and of its positive products, so when those are
+        in range for every lane no clip can fire and the lane sums are the
+        fold's result.  When no product clips, a lane's total is q contracted
+        with sign(x) over the chunks, and its positive sum is half the total
+        plus half its sum of |products|, Σ q·C, as |q| = 2C·q.  Only otherwise are the chunks left-folded with a clip
+        after every add.  Lane sums stay below chunks·raw_max and fold values
+        below 2·raw_max, so both are exact in float64.  Input raws outside
+        the format range are refused.
         """
         fmt = self.fmt
         raw_min, raw_max = fmt.raw_min, fmt.raw_max
         m = _max_abs(xd, fmt)
-        products = _mul_round(w.wd[..., None], xd[:, :, None, :], fmt.frac_bits)
+        sign = np.sign(xd, dtype=np.float64)
+        c = w.facts[2]
+        q = w.wd[..., None] * np.abs(xd, dtype=np.float64)[:, :, None, :]
+        q += c[..., None]
+        np.trunc(q, out=q)
         if self.row_bound(w, m) <= raw_max:
-            return products.sum(axis=(0, 1))[None]
-        if not _products_fit(w.facts[1], m, fmt):
-            _saturate_inplace(products, fmt)
-        total = products.sum(axis=0)
-        pos = np.maximum(products, 0).sum(axis=0)
+            if q.shape[3] == 1:
+                k = q.shape[0] * q.shape[1]
+                return (sign.reshape(k) @ q.reshape(k, -1)).astype(np.int64)[None, :, None]
+            return np.einsum("kprc,kpc->rc", q, sign).astype(np.int64)[None]
+        fits = _products_fit(w.facts[1], m, fmt)
+        if fits:
+            total = np.einsum("kprc,kpc->prc", q, sign)
+            pos = total / 2 + np.einsum("kprc,kpr->prc", q, c)
+        else:
+            q *= sign[:, :, None, :]
+            _saturate_inplace(q, fmt)
+            total = q.sum(axis=0)
+            pos = np.maximum(q, 0).sum(axis=0)
         if pos.max(initial=0) <= raw_max and (total - pos).min(initial=0) >= raw_min:
-            return total
-        acc = products[0].copy()
-        for k in range(1, products.shape[0]):
-            np.add(acc, products[k], out=acc)
+            return total.astype(np.int64)
+        if fits:
+            q *= sign[:, :, None, :]
+        acc = q[0].copy()
+        for k in range(1, q.shape[0]):
+            np.add(acc, q[k], out=acc)
             np.minimum(acc, raw_max, out=acc)
             np.maximum(acc, raw_min, out=acc)
-        return acc
+        return acc.astype(np.int64)
 
     def __str__(self) -> str:
         return str(self.fmt)

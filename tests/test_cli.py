@@ -178,7 +178,7 @@ def test_generate_rejects_wide_fixed_format(model_files, tmp_path, capsys):
         ]
     )
     assert rc != 0
-    assert "total_bits must be in [2, 32], got 40" in capsys.readouterr().err
+    assert "total_bits must be in [2, 27], got 40" in capsys.readouterr().err
     assert not out.exists()
 
 

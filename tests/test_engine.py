@@ -578,6 +578,96 @@ def test_matvec_cols_with_one_clipping_column_equals_per_column(fmt, p_in):
 
 
 # ---------------------------------------------------------------------------
+# the widest formats on every path
+
+FX27_1 = FxFormat(27, 1)
+FX27_27 = FxFormat(27, 27)
+DATAPATHS = ["shortcut", "lanes", "fold", "clipped lanes", "clipped fold"]
+
+
+def datapath_operands(fmt, path, cols, rng):
+    """(W, X) of 3 rows and 8 inputs on 2 lanes that take ``path`` through
+    ``FixedMode.mac``.  Free inputs are 0 or +-h, h = 2^(f-1), so that odd
+    weights make rounding ties (column 0 pins ties of both signs and a zero
+    input on every path); the weights by the fixed inputs are raw_min
+    and raw_max, or, where f = 0 forbids them, 100 inside.  The unclipped
+    paths keep every |x_raw| at most h; on the clipped ones x_raw = raw_min
+    meets W_raw = raw_min, a product of 2^52."""
+    f = fmt.frac_bits
+    lo, hi = fmt.raw_min, fmt.raw_max
+    h = 1 << (f - 1) if f else 1
+    if not f:
+        lo, hi = lo + 100, hi - 100
+    X = rng.choice([-h, 0, h], (8, cols))
+    X[:, 0] = [h, -h, h, h, -h, h, 0, -h]
+    if path == "shortcut":
+        W = [[lo, 0, 3, -5, 7, 0, -9, 11], [hi, -1, 0, 1, -3, 5, 0, 0]]
+    elif path in ("lanes", "fold"):
+        # each lane holds one lo and one hi weight: x of one sign on both
+        # cancels their products, x of opposite signs adds them past the edge
+        W = [[lo, hi, hi, lo, 0, 3, -5, 0], [0, 3, -5, 7, 0, 0, 0, 1]]
+        s = np.concatenate([[1], rng.choice([-1, 1], cols - 1)]) if path == "lanes" else -1
+        X[:4] = s * h
+        if path == "fold":
+            X[2] = h
+    else:
+        lo, hi = fmt.raw_min, fmt.raw_max
+        third = hi if path == "clipped fold" else 0
+        W = [[lo, 3, third, -5, 0, 7, 0, -9], [hi, 0, 0, 0, 0, 0, 0, 0]]
+        X[0] = rng.choice([lo, hi], cols)
+        X[0, 0] = lo
+        if path == "clipped fold":
+            X[2] = hi
+    return np.array(W + [[0] * 8], dtype=np.int64), X
+
+
+def datapath_taken(fmt, W, X, p_in):
+    """The path ``FixedMode.mac`` must take, from the row bound, the largest
+    rounded product and the ``FxValue`` lane sums."""
+    mode = FixedMode(fmt)
+    m = int(np.abs(X).max())
+    if mode.row_bound(_lower(W, p_in, mode), m) <= fmt.raw_max:
+        return "shortcut"
+    largest = (int(np.abs(W).max()) * m + (1 << fmt.frac_bits >> 1)) >> fmt.frac_bits
+    clipped = "" if largest <= fmt.raw_max else "clipped "
+    lanes = all(lane_excess(W, X[:, t], fmt, p_in) <= 0 for t in range(X.shape[1]))
+    return clipped + ("lanes" if lanes else "fold")
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("path", DATAPATHS)
+@pytest.mark.parametrize("fmt", [FX27_1, FX27_8, FX27_27], ids=str)
+def test_widest_formats_match_scalar_oracle_on_every_path(fmt, path, cols):
+    """f = 26, 19 and 0 at 27 bits, where raw products reach 2^52: each path
+    of the float64 datapath, at one column and at several, must match the
+    ``FxValue`` oracle with rounding ties of both signs, zeros in W and x,
+    and, where the path allows them, raw_min and raw_max."""
+    rng = np.random.default_rng(DATAPATHS.index(path) + 10 * cols + fmt.frac_bits)
+    W, X = datapath_operands(fmt, path, cols, rng)
+    p = ParallelismParams(1, 2)
+    assert datapath_taken(fmt, W, X, p.num_parallel_in) == path
+    f = fmt.frac_bits
+    pairs = [(int(w), int(x)) for row in W for w, x in zip(row, X[:, 0])]
+    assert (W == 0).any() and (X[:, 0] == 0).any()
+    if f:
+        half = 1 << (f - 1)
+        ties = {np.sign(w * x) for w, x in pairs if abs(w * x) % (1 << f) == half}
+        assert ties == {-1, 1}
+    if f or path.startswith("clipped"):
+        assert {fmt.raw_min, fmt.raw_max} <= set(W.ravel().tolist()) | set(X.ravel().tolist())
+    if path.startswith("clipped"):
+        assert max(abs(w * x) for w, x in pairs) == 2**52
+    mode = FixedMode(fmt)
+    add, mul, zero = fixed_ops(fmt)
+    got = matvec_cols(W, X, p=p, mode=mode)
+    assert np.array_equal(matvec_cols(_lower(W, 2, mode), X, p=p, mode=mode), got)
+    for t in range(cols):
+        want = scalar_matvec(W.tolist(), X[:, t].tolist(), None, p, add, mul, zero)
+        assert got[:, t].tolist() == want
+        assert matvec(W, X[:, t], p=p, mode=mode).tolist() == want
+
+
+# ---------------------------------------------------------------------------
 # batched columns
 
 

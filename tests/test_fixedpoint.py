@@ -30,6 +30,7 @@ from qwavenet import (
     to_fixed,
     to_real,
 )
+from qwavenet.fixedpoint import MAX_TOTAL_BITS
 
 FMT8 = FxFormat(total_bits=8, int_bits=3)  # frac_bits=5, raws in [-128, 127]
 
@@ -75,7 +76,7 @@ def test_format_fields():
 
 @pytest.mark.parametrize(
     "total, integer",
-    [(1, 1), (0, 0), (33, 8), (40, 16), (64, 8), (16, 0), (16, 17), (-4, 2)],
+    [(1, 1), (0, 0), (28, 8), (32, 1), (33, 8), (40, 16), (64, 8), (16, 0), (16, 17), (-4, 2)],
 )
 def test_format_rejects_bad_widths(total, integer):
     with pytest.raises(ValueError):
@@ -84,13 +85,23 @@ def test_format_rejects_bad_widths(total, integer):
 
 @pytest.mark.parametrize(
     "total, integer",
-    [(27.0, 8), (27, 8.0), (np.int64(32), np.int64(1)), (True, 1), (16, True), ("16", 3)],
+    [(27.0, 8), (27, 8.0), (np.int64(27), np.int64(1)), (True, 1), (16, True), ("16", 3)],
 )
 def test_format_rejects_non_int_widths(total, integer):
     # 27.0 would fail at the first shift; np.int64 widths would overflow the
-    # Python-int row bounds of a 32-bit format
+    # Python-int row bounds of a 27-bit format
     with pytest.raises(TypeError):
         FxFormat(total_bits=total, int_bits=integer)
+
+
+def test_width_limit_keeps_every_raw_product_exact_in_float64():
+    """The fixed-point matvec rounds raw products in float64: the widest
+    format's largest product, raw_min**2, fits float64's 53 significand bits,
+    and one bit more would not."""
+    widest = FxFormat(MAX_TOTAL_BITS, 1)
+    assert widest.raw_min**2 <= 2**53 < (2 * widest.raw_min) ** 2
+    with pytest.raises(ValueError):
+        FxFormat(MAX_TOTAL_BITS + 1, 1)
 
 
 def test_parse_format():
@@ -264,12 +275,12 @@ def test_quantize_real_rounds_near_halves_exactly(fmt):
 
 
 @pytest.mark.parametrize(
-    "fmt", [FxFormat(32, 1), FxFormat(32, 32), FxFormat(2, 1), FxFormat(6, 6)], ids=str
+    "fmt", [FxFormat(27, 1), FxFormat(27, 27), FxFormat(2, 1), FxFormat(6, 6)], ids=str
 )
 def test_quantize_real_edges_match_scalar(fmt):
     """The one saturating cast at the format's extremes: both ends of the raw
     range, the raws around zero, each a quarter and half ulp off, infinities,
-    and 2**40, past every raw of a 32-bit format."""
+    and 2**40, past every raw of the widest format."""
     ulp = 2.0**-fmt.frac_bits
     raws = [fmt.raw_min, fmt.raw_min + 1, -1, 0, 1, fmt.raw_max - 1, fmt.raw_max]
     offsets = [0.0, ulp / 4, -ulp / 4, ulp / 2, -ulp / 2]
@@ -339,6 +350,16 @@ def test_fixed_mode_tanh_and_add_match_scalar_on_every_raw(fmt):
     assert mode.add(a, b).tolist() == want_add
 
 
+def test_fixed_mode_tanh_matches_scalar_on_every_raw_of_a_fine_format():
+    """Every raw of fixed<16,1>: with 15 fraction bits, v = tanh(x/2^f)·2^f
+    comes within float64 rounding of many halves and integers, which the
+    rounding of v + copysign(1/2, v) must not carry across."""
+    fmt = FxFormat(16, 1)
+    every = np.arange(fmt.raw_min, fmt.raw_max + 1, dtype=np.int64)
+    want = [fx_tanh(FxValue(int(x), fmt)).raw for x in every]
+    assert FixedMode(fmt).tanh(every).tolist() == want
+
+
 def test_fixed_mode_add_refuses_float_operands():
     with pytest.raises(TypeError):
         FixedMode().add(np.array([1.7]), np.array([0]))
@@ -367,13 +388,14 @@ def test_mul_raw_refuses_floats_and_raws_past_int64():
 
 def test_vector_ops_reject_wide_formats():
     # the one width limit lives in FxFormat, so no mode can be built on one
-    with pytest.raises(ValueError, match=r"total_bits must be in \[2, 32\], got 40"):
+    with pytest.raises(ValueError, match=r"total_bits must be in \[2, 27\], got 40"):
         FixedMode(FxFormat(total_bits=40, int_bits=8))
     with pytest.raises(ValueError):
         parse_mode("fixed<40,8>")
     # at the limit the array and scalar paths agree on a product past 2**31
-    widest = FxFormat(total_bits=32, int_bits=16)
+    widest = FxFormat(total_bits=27, int_bits=16)
     v = to_fixed(100.0, widest)
+    assert v.raw * v.raw > 2**31
     assert to_real(fx_mul(v, v)) == 10000.0
     a = np.array([v.raw], dtype=np.int64)
     assert mul_raw(a, a, widest).tolist() == [fx_mul(v, v).raw]

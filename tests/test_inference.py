@@ -501,6 +501,18 @@ def test_forward_observer_sees_every_layer_in_sweep_order(mode):
     assert all(dtype == mode.dtype and shape == (4,) for _, dtype, shape in seen)
 
 
+@pytest.mark.parametrize(
+    "mode, dtype", [(RealMode(), np.float64), (FixedMode(), np.int32)], ids=["real", "fixed"]
+)
+def test_default_session_rings_hold_one_word_per_delayed_product(mode, dtype):
+    """The default model's rings hold 2·(2^14 - 1)·128 products: float64 in
+    real mode, int32 raws in fixed point, half the bytes of int64."""
+    cfg = ModelConfig()
+    rings = _Session(cfg, random_weights(cfg, seed=1), mode).rings
+    assert {r.dtype for r in rings} == {np.dtype(dtype)}
+    assert sum(r.size for r in rings) == 4194048
+
+
 @pytest.mark.parametrize("text", ["fixed<27,8>", "fixed<16,3>"])
 def test_static_headroom_is_the_larger_row_bound_of_each_pair(text):
     cfg = ModelConfig(num_blocks=2, layers_per_block=3, channels=8)
