@@ -25,18 +25,10 @@ arithmetic ``matvec`` would apply to it (elementwise IEEE ops are
 deterministic per element), so batching never changes a result; it only
 amortizes call overhead.
 
-In fixed point the operand is W_raw·2^-f in float64, and the static facts
-are S_max, the largest row sum of |W_raw|, w_max, the largest |W_raw|, and
-the rounding offset copysign(1/2, W), from which ``FixedMode.mac`` rounds
-every product exactly in float64.  With m the largest |x_raw| of a call, no
-rounded product, fold partial or tree partial exceeds
-``(S_max·m >> f) + N``.  That bound decides first in ``FixedMode.mac``:
-when it fits the format the row sums are exact and need no clip, and they
-are one contraction of the rounded products with sign(x).  Otherwise
-each lane's positive and negative sums of its products decide: when both are
-in range no fold partial can clip and the lane sums are exact; otherwise the
-clipped fold runs.  Raws outside the format range are refused: weights and
-bias when lowered, inputs per call.
+In fixed point ``FixedMode.mac`` takes the row-bound shortcut, the exact
+lane sums or the clipped fold; its docstring states that ladder and why
+each rung gives the fold's bits.  Raws outside the format range are
+refused: weights and bias when lowered, inputs per call.
 
 ``estimate_cycles`` is the analytic cost model for the same datapath: one
 cycle per MAC round per accumulator, plus tree depth, plus one accumulate,

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from qwavenet import (
     ModelConfig,
     RealMode,
     WeightSet,
+    generate,
     generate_naive,
+    matvec,
     parse_mode,
     queues,
     random_weights,
@@ -164,6 +167,24 @@ def test_generate_fixed_mode(model_files, tmp_path, capsys):
     assert out.exists()
 
 
+def test_generate_plain_fixed_runs_the_paper_format(model_files, tmp_path):
+    cfg_path, w_path = model_files
+    report = tmp_path / "report.json"
+    rc = run_cli(
+        [
+            "generate",
+            "--config", str(cfg_path),
+            "--weights", str(w_path),
+            "--seconds", "0.05",
+            "--mode", "fixed",
+            "--out", str(tmp_path / "out.wav"),
+            "--report", str(report),
+        ]
+    )
+    assert rc == 0
+    assert json.loads(report.read_text())["number_mode"] == "fixed<27,8>"
+
+
 def test_generate_rejects_wide_fixed_format(model_files, tmp_path, capsys):
     cfg_path, w_path = model_files
     out = tmp_path / "wide.wav"
@@ -299,6 +320,40 @@ def test_verify_fails_a_one_ulp_real_mode_logit(model_files, capsys, monkeypatch
     assert "ok   queue generator vs naive reference, fixed<27,8>" in out
 
 
+def _off_by_one(W, x, p):
+    return matvec(W, x, p=p) + 1
+
+
+def _off_on_fractions(W, x, p):
+    return matvec(W, x, p=p) + (0 if np.array_equal(W, np.round(W)) else 1e-3)
+
+
+def _shifted_bins(*args, **kwargs):
+    wf = generate(*args, **kwargs)
+    return replace(wf, bins=wf.bins + 1)
+
+
+@pytest.mark.parametrize(
+    "target, fake, line",
+    [
+        ("matvec", _off_by_one, "FAIL matvec vs plain matrix product: integer matvec mismatch"),
+        ("matvec", _off_on_fractions, "FAIL matvec vs plain matrix product: real matvec deviation"),
+        (
+            "generate",
+            _shifted_bins,
+            "FAIL queue generator vs naive reference, real: bin sequences differ",
+        ),
+    ],
+    ids=["integer-matvec", "real-matvec", "bins"],
+)
+def test_verify_reports_each_failed_check(model_files, capsys, monkeypatch, target, fake, line):
+    monkeypatch.setattr(cli, target, fake)
+    cfg_path, _ = model_files
+    rc = run_cli(["verify", "--config", str(cfg_path), "--seed", "3"])
+    assert rc == 1
+    assert line in capsys.readouterr().out
+
+
 def test_shipped_paths_never_build_the_input_queue(model_files, tmp_path, monkeypatch):
     # the input-queue step is a reference for the tests; the CLI and the
     # generators run on the session's rings
@@ -414,6 +469,15 @@ def test_explore_rejects_bad_list(model_files, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_explore_rejects_a_list_of_no_integers(model_files, capsys):
+    cfg_path, _ = model_files
+    rc = run_cli(
+        ["explore", "--config", str(cfg_path), "--pout-list", "1", "--pin-list", ","]
+    )
+    assert rc == 1
+    assert "expected comma-separated integers, got ','" in capsys.readouterr().err
 
 
 def test_malformed_arguments_exit_2(capsys):

@@ -289,6 +289,12 @@ def test_matvec_rejects_bad_shapes():
         matvec(np.ones((2, 0)), np.ones(0))
 
 
+def test_matvec_refuses_a_column_batch():
+    # a (N, 1) batch is matvec_cols' operand; matvec takes one vector
+    with pytest.raises(ShapeMismatchError, match=r"expected 1-D input vector, got shape \(3, 1\)"):
+        matvec(np.ones((2, 3)), np.ones((3, 1)))
+
+
 def test_matvec_fixed_rejects_float_input():
     with pytest.raises(TypeError):
         matvec(np.ones((2, 2)), np.ones(2), mode=FixedMode())
@@ -496,6 +502,28 @@ def lane_edge_operands(rng, fmt, p_in, M, step, side=None, edge_first=False):
     return products * signs * gain, signs * m
 
 
+def clipped_lane_operands(rng, fmt, p_in, M, edge_first):
+    """(W, x) whose every lane holds one product that clips, raw_min times
+    raw_min saturating to raw_max, and four products of the other sign whose
+    sum is raw_min: both lane sums sit on the format's edge, so no fold
+    partial clips once the products are clipped, while the unclipped product
+    would move the sum.  The clipping product comes first in each lane, or
+    at a random place."""
+    f = fmt.frac_bits
+    m, gain = (1 << (f - 1), 2) if f else (1, 1)
+    W = np.zeros((M, 5 * p_in), dtype=np.int64)
+    x = np.zeros(5 * p_in, dtype=np.int64)
+    for lane in range(p_in):
+        cols = np.arange(lane, 5 * p_in, p_in)
+        clip, rest = (cols[0], cols[1:]) if edge_first else np.split(rng.permutation(cols), [1])
+        x[clip] = fmt.raw_min
+        x[rest] = rng.choice([-1, 1], 4) * m
+        W[:, clip] = fmt.raw_min
+        other = np.abs(rows_with_abs_sums(rng, [-fmt.raw_min] * M, 4, fmt.raw_max // gain))
+        W[:, rest] = -other * np.sign(x[rest]) * gain
+    return W, x
+
+
 def lane_excess(W, x, fmt, p_in):
     """How far the worst lane's positive or negative product sum passes the
     format's edge, over every row, from the ``FxValue`` products."""
@@ -511,7 +539,9 @@ def lane_excess(W, x, fmt, p_in):
     return worst
 
 
-@pytest.mark.parametrize("step", [-1, 0, 1], ids=["inside", "on", "outside"])
+@pytest.mark.parametrize(
+    "step", [-1, 0, 1, "clipped"], ids=["inside", "on", "outside", "clipped"]
+)
 @pytest.mark.parametrize("p_in", [1, 2, 4, 8])
 @pytest.mark.parametrize("fmt", [FX16_3, FX10_1, FX8_8], ids=str)
 def test_lane_sum_edges_match_scalar_oracle(fmt, p_in, step):
@@ -519,17 +549,28 @@ def test_lane_sum_edges_match_scalar_oracle(fmt, p_in, step):
     sum one step inside the format, on its edge, or one step outside.  Inside
     and on, no fold partial can clip and the lane sums are the result;
     outside, the clipped fold runs, and with the edge products first it
-    clips.  Plain and lowered W must match the ``FxValue`` oracle either
-    way."""
-    rng = np.random.default_rng(1000 * p_in + step)
+    clips.  "clipped" puts a product that clips in every lane while both
+    lane sums stay on the edge: the products are clipped and folded, and no
+    partial clips.  Plain and lowered W must match the ``FxValue`` oracle
+    every way."""
     p = ParallelismParams(1, p_in)
     mode = FixedMode(fmt)
     add, mul, zero = fixed_ops(fmt)
-    for side, edge_first in product((1, -1, None), (True, False)):
-        W, x = lane_edge_operands(rng, fmt, p_in, 3, step, side, edge_first)
-        assert lane_excess(W, x, fmt, p_in) == step
+    if step == "clipped":
+        rng = np.random.default_rng(p_in)
+        cases = [clipped_lane_operands(rng, fmt, p_in, 3, first) for first in (True, False)]
+        path = "clipped lanes"
+    else:
+        rng = np.random.default_rng(1000 * p_in + step)
+        cases = [
+            lane_edge_operands(rng, fmt, p_in, 3, step, side, edge_first)
+            for side, edge_first in product((1, -1, None), (True, False))
+        ]
+        path = "fold" if step > 0 else "lanes"
+    for W, x in cases:
+        assert lane_excess(W, x, fmt, p_in) == (0 if step == "clipped" else step)
+        assert datapath_taken(fmt, W, x[:, None], p_in) == path
         lowered = _lower(W, p_in, mode)
-        assert mode.row_bound(lowered, int(np.abs(x).max())) > fmt.raw_max
         want = scalar_matvec(W.tolist(), x.tolist(), None, p, add, mul, zero)
         assert matvec(W, x, p=p, mode=mode).tolist() == want
         assert matvec(lowered, x, p=p, mode=mode).tolist() == want

@@ -386,6 +386,14 @@ def test_mul_raw_refuses_floats_and_raws_past_int64():
     assert mul_raw(np.array([3], np.uint8), np.array([1 << 19]), FX27_8).tolist() == [3]
 
 
+def test_parse_mode_defaults_fixed_and_refuses_unknown_names():
+    assert parse_mode(" fixed ") == FixedMode(FX27_8)
+    with pytest.raises(ValueError, match="unknown numeric mode: 'float'"):
+        parse_mode("float")
+    with pytest.raises(ValueError, match="not a fixed-point format string: 'fixed<27,8'"):
+        parse_mode("fixed<27,8")
+
+
 def test_vector_ops_reject_wide_formats():
     # the one width limit lives in FxFormat, so no mode can be built on one
     with pytest.raises(ValueError, match=r"total_bits must be in \[2, 27\], got 40"):

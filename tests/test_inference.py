@@ -14,6 +14,7 @@ from qwavenet import (
     OpStats,
     ParallelismParams,
     RealMode,
+    Waveform,
     WeightSet,
     argmax_sample,
     default_layer_params,
@@ -103,6 +104,13 @@ def test_quantize_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         quantize(np.array([0.0, np.nan]), 256)
     assert quantize(np.array([-np.inf, np.inf]), 256).tolist() == [0, 255]
+
+
+@pytest.mark.parametrize("shapes", [(3, 4), ((2, 2), (2, 2))])
+def test_waveform_refuses_samples_and_bins_of_different_shapes(shapes):
+    samples, bins = np.zeros(shapes[0]), np.zeros(shapes[1], dtype=np.int64)
+    with pytest.raises(ValueError, match="samples/bins must be equal-length 1-D"):
+        Waveform(samples, bins, 16000)
 
 
 def test_quantize_array_matches_scalar():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwavenet import (
     LengthMismatchError,
+    MetricReport,
     SignalTooShortError,
     SpectrogramParams,
     log_spectral_distance,
@@ -249,3 +250,9 @@ def test_metric_report_fields():
     assert rep.mse == pytest.approx(mse(a, b))
     assert rep.lsd == pytest.approx(log_spectral_distance(a, b, SMALL))
     assert rep.mse >= 0 and rep.lsd >= 0
+
+
+@pytest.mark.parametrize("mse_value, lsd_value", [(-1e-12, 0.0), (0.0, -0.5)])
+def test_metric_report_refuses_negative_metrics(mse_value, lsd_value):
+    with pytest.raises(ValueError, match="metrics cannot be negative"):
+        MetricReport(mse=mse_value, lsd=lsd_value, n_samples=10)

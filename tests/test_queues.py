@@ -228,6 +228,12 @@ def test_naive_conv_refuses_dilation_below_one(rows, dilation):
         naive_dilated_conv_sequence(np.ones((rows, 2)), np.eye(2), np.eye(2), dilation)
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (2,)])
+def test_naive_conv_refuses_empty_or_flat_history(shape):
+    with pytest.raises(ShapeMismatchError, match="history must be"):
+        naive_dilated_conv_sequence(np.ones(shape), np.eye(2), np.eye(2), 1)
+
+
 def test_naive_conv_sequence_matches_single_steps():
     rng = np.random.default_rng(21)
     hist = rng.uniform(-1, 1, (9, 3))
