@@ -43,11 +43,9 @@ from .inference import (
 )
 from .metrics import (
     LengthMismatchError,
-    MetricReport,
     SignalTooShortError,
     SpectrogramParams,
     log_spectral_distance,
-    metric_report,
     mse,
     normalized_log_spectrogram,
     stft,

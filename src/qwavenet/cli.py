@@ -7,15 +7,17 @@ Subcommands:
   engine parallelism each layer ran at, its matvec and MAC counts, and in
   fixed point each layer's static headroom) beside timings, throughput,
   config/weight digests, Python/numpy versions and CPU count.  An output
-  path that names a directory, or lies in a missing one, is refused before
-  the session is built;
+  path that names a directory, or lies in a missing one, and any two of
+  ``--config``, ``--weights``, ``--out`` and ``--report`` that name one file,
+  are refused before the session is built;
 * ``verify``   — self-check on a reduced version of the given config: the
   engine against a plain matvec, and the generator, with its rings of
   delayed-tap products, against the naive full-history reference, bit for
   bit (bins and logits) in real mode and in the default fixed-point format;
 * ``compare``  — MSE and log-spectral distance between two WAV files;
 * ``explore``  — sweep engine parallelism parameters over the model's layers
-  and emit the cost model's estimates as CSV.
+  and emit the cost model's estimates as CSV; an ``--out`` that names the
+  ``--config`` is refused.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .engine import ParallelismParams, estimate_cycles, matvec
 from .inference import _generate, _Session, generate, generate_naive, static_headroom
-from .metrics import SpectrogramParams, metric_report
+from .metrics import SpectrogramParams, log_spectral_distance, mse
 from .model import ModelConfig, config_digest, load_config, validate_config
 from .numerics import FixedMode, RealMode, parse_mode
 from .weights import load_weights, random_weights
@@ -79,7 +81,23 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _refuse_shared_paths(**paths) -> None:
+    """Refuse two path flags that resolve to one file, so that no output
+    overwrites an input or another output.  Flags left unset are skipped."""
+    seen = {}
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if key in seen:
+            raise ValueError(f"{path}: --{flag} names the same file as --{seen[key]}")
+        seen[key] = flag
+
+
 def _cmd_generate(args) -> int:
+    _refuse_shared_paths(
+        config=args.config, weights=args.weights, out=args.out, report=args.report
+    )
     cfg = load_config(args.config)
     _check_sample_rate(cfg.sample_rate)  # before the run, not after it
     for path in (args.out, args.report):
@@ -190,12 +208,12 @@ def _cmd_compare(args) -> int:
     if rate_a != rate_b:
         raise ValueError(f"sample rates differ: {rate_a} vs {rate_b}")
     params = SpectrogramParams(window_size=args.window, hop=args.hop, epsilon=args.epsilon)
-    report = metric_report(a, b, params)
-    print(f"n_samples={report.n_samples} mse={report.mse:.6g} lsd={report.lsd:.6g}")
+    print(f"n_samples={a.size} mse={mse(a, b):.6g} lsd={log_spectral_distance(a, b, params):.6g}")
     return 0
 
 
 def _cmd_explore(args) -> int:
+    _refuse_shared_paths(config=args.config, out=args.out)
     cfg = load_config(args.config)
     specs = validate_config(cfg)
     pouts = _parse_int_list(args.pout_list)

@@ -1,6 +1,7 @@
 """Waveform comparison metrics: MSE and log-spectral distance.
 
-LSD pipeline: STFT both signals, square magnitudes into power spectrograms,
+LSD pipeline: STFT both signals (frames under a symmetric Hann taper,
+``np.hanning(window_size)``), square magnitudes into power spectrograms,
 take log(power + epsilon), standardize each log-spectrogram globally to zero
 mean and unit variance, and report the RMSE between the two normalized
 spectrograms.  Global standardization makes the distance invariant to overall
@@ -23,14 +24,10 @@ class LengthMismatchError(ValueError):
     """Compared signals have different lengths."""
 
 
-_WINDOW_KINDS = ("hann", "rectangular")
-
-
 @dataclass(frozen=True)
 class SpectrogramParams:
     window_size: int = 512
     hop: int = 128
-    window: str = "hann"
     epsilon: float = 1e-10
 
     def __post_init__(self):
@@ -43,17 +40,13 @@ class SpectrogramParams:
             raise ValueError(f"window_size must be a power of two >= 2, got {w}")
         if not 1 <= self.hop <= w:
             raise ValueError(f"hop must be in [1, {w}], got {self.hop}")
-        if self.window not in _WINDOW_KINDS:
-            raise ValueError(f"window must be one of {_WINDOW_KINDS}, got {self.window!r}")
         if isinstance(self.epsilon, bool):
             raise TypeError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def taper(self) -> np.ndarray:
-        if self.window == "hann":
-            return np.hanning(self.window_size)
-        return np.ones(self.window_size)
+        return np.hanning(self.window_size)
 
     def frame_count(self, n_samples: int) -> int:
         if n_samples < self.window_size:
@@ -61,17 +54,6 @@ class SpectrogramParams:
                 f"need at least {self.window_size} samples, got {n_samples}"
             )
         return (n_samples - self.window_size) // self.hop + 1
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    mse: float
-    lsd: float
-    n_samples: int
-
-    def __post_init__(self):
-        if self.mse < 0 or self.lsd < 0:
-            raise ValueError("metrics cannot be negative")
 
 
 def _signal(x, what: str) -> np.ndarray:
@@ -132,11 +114,3 @@ def log_spectral_distance(x1, x2, params: SpectrogramParams = SpectrogramParams(
         raise LengthMismatchError(f"length mismatch: {a.size} vs {b.size}")
     d = normalized_log_spectrogram(a, params) - normalized_log_spectrogram(b, params)
     return float(np.sqrt(np.mean(d * d)))
-
-
-def metric_report(x1, x2, params: SpectrogramParams = SpectrogramParams()) -> MetricReport:
-    return MetricReport(
-        mse=mse(x1, x2),
-        lsd=log_spectral_distance(x1, x2, params),
-        n_samples=int(np.asarray(x1).size),
-    )

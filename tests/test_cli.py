@@ -15,13 +15,17 @@ from qwavenet import (
     FixedMode,
     ModelConfig,
     RealMode,
+    SpectrogramParams,
     WeightSet,
     generate,
     generate_naive,
+    log_spectral_distance,
     matvec,
+    mse,
     parse_mode,
     queues,
     random_weights,
+    read_wav,
     save_config,
     save_weights,
     teacher_forced_layer_outputs,
@@ -259,36 +263,61 @@ def test_generate_refuses_rate_before_the_run(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+UNWRITABLE = "not a file path in an existing directory"
+
+
 @pytest.mark.parametrize(
-    "flag, name",
-    [("--out", "missing/out.wav"), ("--report", "missing/run.json"), ("--out", "")],
-    ids=["out-in-missing-dir", "report-in-missing-dir", "out-is-a-dir"],
+    "flag, name, problem",
+    [
+        ("--out", "missing/out.wav", UNWRITABLE),
+        ("--report", "missing/run.json", UNWRITABLE),
+        ("--out", "", UNWRITABLE),
+        ("--report", "out.wav", "--report names the same file as --out"),
+        ("--out", "model.json", "--out names the same file as --config"),
+        ("--out", "missing/../weights.bin", "--out names the same file as --weights"),
+        ("--report", "model.json", "--report names the same file as --config"),
+        ("--report", "weights.bin", "--report names the same file as --weights"),
+        ("--weights", "model.json", "--weights names the same file as --config"),
+    ],
+    ids=[
+        "out-in-missing-dir",
+        "report-in-missing-dir",
+        "out-is-a-dir",
+        "report-is-out",
+        "out-is-config",
+        "out-is-weights-by-another-name",
+        "report-is-config",
+        "report-is-weights",
+        "weights-is-config",
+    ],
 )
 def test_generate_refuses_output_paths_it_cannot_write_before_the_run(
-    model_files, tmp_path, capsys, monkeypatch, flag, name
+    model_files, tmp_path, capsys, monkeypatch, flag, name, problem
 ):
-    # an output path in a missing directory, or naming a directory, is
-    # refused before any session is built: no step runs, no file is left
+    # an output path in a missing directory, or naming a directory, and two
+    # path flags naming one file, are refused before any session is built:
+    # no step runs, no file is left and the inputs are untouched
     def refuse(*args, **kwargs):
         raise AssertionError("session built")
 
     monkeypatch.setattr(cli, "_Session", refuse)
     cfg_path, w_path = model_files
-    paths = {"--out": tmp_path / "out.wav", "--report": tmp_path / "run.json"}
+    inputs = {p: p.read_bytes() for p in model_files}
+    paths = {
+        "--config": cfg_path,
+        "--weights": w_path,
+        "--out": tmp_path / "out.wav",
+        "--report": tmp_path / "run.json",
+    }
     paths[flag] = tmp_path / name
-    rc = run_cli(
-        [
-            "generate",
-            "--config", str(cfg_path),
-            "--weights", str(w_path),
-            "--seconds", "0.5",
-            "--out", str(paths["--out"]),
-            "--report", str(paths["--report"]),
-        ]
-    )
+    argv = ["generate", "--seconds", "0.5"]
+    for option, path in paths.items():
+        argv += [option, str(path)]
+    rc = run_cli(argv)
     assert rc == 1
-    assert f"{paths[flag]}: not a file path in an existing directory" in capsys.readouterr().err
+    assert f"{paths[flag]}: {problem}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "weights.bin"]
+    assert {p: p.read_bytes() for p in model_files} == inputs
 
 
 def test_verify_passes(model_files, capsys):
@@ -408,6 +437,14 @@ def test_compare_reports_differences(tmp_path, capsys):
     mse_val = float(out.split("mse=")[1].split()[0])
     assert 0.001 < mse_val < 0.01
 
+    # every flag reaches the library: the line is exactly its two metrics
+    flags = ["--window", "128", "--hop", "32", "--epsilon", "1e-6"]
+    rc = run_cli(["compare", "--a", str(a), "--b", str(b), *flags])
+    assert rc == 0
+    wa, wb = read_wav(a)[0], read_wav(b)[0]
+    lsd = log_spectral_distance(wa, wb, SpectrogramParams(128, 32, epsilon=1e-6))
+    assert capsys.readouterr().out == f"n_samples=2000 mse={mse(wa, wb):.6g} lsd={lsd:.6g}\n"
+
 
 def test_compare_rate_mismatch(tmp_path, capsys):
     a, b = tmp_path / "a.wav", tmp_path / "b.wav"
@@ -460,6 +497,23 @@ def test_explore_to_file_with_sweep(model_files, tmp_path):
     with out.open() as f:
         rows = list(csv.reader(f))
     assert len(rows) == 1 + TINY.total_layers * 3 * 2
+
+
+def test_explore_refuses_an_out_that_names_its_config(model_files, capsys):
+    cfg_path, _ = model_files
+    before = cfg_path.read_bytes()
+    rc = run_cli(
+        [
+            "explore",
+            "--config", str(cfg_path),
+            "--pout-list", "1",
+            "--pin-list", "1",
+            "--out", str(cfg_path),
+        ]
+    )
+    assert rc == 1
+    assert f"{cfg_path}: --out names the same file as --config" in capsys.readouterr().err
+    assert cfg_path.read_bytes() == before
 
 
 def test_explore_rejects_bad_list(model_files, capsys):

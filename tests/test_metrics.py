@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from qwavenet import (
     LengthMismatchError,
-    MetricReport,
     SignalTooShortError,
     SpectrogramParams,
     log_spectral_distance,
-    metric_report,
     mse,
     normalized_log_spectrogram,
     stft,
 )
 
 SMALL = SpectrogramParams(window_size=64, hop=16)
-RECT = SpectrogramParams(window_size=64, hop=64, window="rectangular")
 
 
 def naive_rdft(frame):
@@ -100,35 +97,15 @@ def test_stft_matches_naive_dft():
         assert np.allclose(spec[f], want, rtol=1e-9, atol=1e-9)
 
 
-def test_stft_rectangular_matches_naive_dft():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-1, 1, 128)
-    spec = stft(x, RECT)
-    assert np.allclose(spec[0], naive_rdft(x[:64]), rtol=1e-9, atol=1e-9)
-    assert np.allclose(spec[1], naive_rdft(x[64:]), rtol=1e-9, atol=1e-9)
-
-
-def test_stft_bin_center_sine():
-    # a sine exactly on bin k concentrates all energy there
-    n, k = 64, 5
-    t = np.arange(n)
-    x = np.sin(2 * np.pi * k * t / n)
-    mag = np.abs(stft(x, RECT)[0])
-    assert np.argmax(mag) == k
-    others = np.delete(mag, k)
-    assert mag[k] == pytest.approx(n / 2, rel=1e-9)
-    assert np.all(others < 1e-9 * n)
-
-
-def test_stft_parseval_rectangular():
-    # sum |X_k|^2 over the full spectrum equals N * sum x^2 per frame
+def test_stft_parseval_hann():
+    # sum |X_k|^2 over the full spectrum equals N * sum (x * w)^2 per frame
     rng = np.random.default_rng(8)
     x = rng.uniform(-1, 1, 64)
-    spec = stft(x, RECT)[0]
+    spec = stft(x, SMALL)[0]
     # reconstruct the full power from the one-sided bins: DC and Nyquist
     # appear once, everything else twice
     power = abs(spec[0]) ** 2 + abs(spec[-1]) ** 2 + 2 * np.sum(np.abs(spec[1:-1]) ** 2)
-    assert power == pytest.approx(64 * np.sum(x**2), rel=1e-9)
+    assert power == pytest.approx(64 * np.sum((x * SMALL.taper()) ** 2), rel=1e-9)
 
 
 def test_hann_taper():
@@ -139,7 +116,6 @@ def test_hann_taper():
     # symmetric raised cosine over window_size - 1
     want = 0.5 * (1 - np.cos(2 * np.pi * np.arange(64) / 63))
     assert np.allclose(taper, want, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(RECT.taper(), np.ones(64))
 
 
 def test_spectrogram_params_validation():
@@ -149,8 +125,6 @@ def test_spectrogram_params_validation():
         SpectrogramParams(hop=0)
     with pytest.raises(ValueError):
         SpectrogramParams(hop=513)
-    with pytest.raises(ValueError):
-        SpectrogramParams(window="hamming")
     with pytest.raises(ValueError):
         SpectrogramParams(epsilon=0.0)
     with pytest.raises(ValueError):
@@ -177,8 +151,6 @@ def test_metrics_refuse_non_finite_signals(bad):
             mse(a, b)
         with pytest.raises(ValueError, match="non-finite"):
             log_spectral_distance(a, b, SMALL)
-        with pytest.raises(ValueError, match="non-finite"):
-            metric_report(a, b, SMALL)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +192,18 @@ def test_lsd_scale_invariance():
 
     Doubling the amplitude shifts log(|X|^2) by log 4 wherever the power
     clears the epsilon floor, and the per-spectrogram standardization
-    removes a global shift.  A bin-centered sine under a rectangular
-    window is leakage-free, so every cell is either far above the floor or
-    exactly on it and the cancellation is essentially perfect; broadband
-    noise clears the floor everywhere and cancels as well.
+    removes a global shift.  A bin-centered sine under a 64-sample Hann
+    window at hop 64 puts its power in its bin and the two beside it; the
+    symmetric taper leaks a little into every other bin, but the weakest
+    cell (about 1e-7) still sits three orders of magnitude above the 1e-10
+    floor, so every cell shifts by nearly log 4 and the cancellation is
+    nearly perfect.  (Under the 512-sample default the sine's LSD reads
+    about 0.05.)  Broadband noise clears the floor everywhere and cancels
+    as well.
     """
     t = np.arange(4096)
     x = np.sin(2 * np.pi * 5 * t / 64)
-    assert log_spectral_distance(x, 2.0 * x, RECT) < 0.01
+    assert log_spectral_distance(x, 2.0 * x, SpectrogramParams(window_size=64, hop=64)) < 0.01
 
     rng = np.random.default_rng(14)
     y = rng.uniform(-1, 1, 4096)
@@ -239,20 +215,3 @@ def test_lsd_validation():
         log_spectral_distance(np.zeros(512), np.zeros(513), SMALL)
     with pytest.raises(SignalTooShortError):
         log_spectral_distance(np.zeros(32), np.zeros(32), SMALL)
-
-
-def test_metric_report_fields():
-    rng = np.random.default_rng(12)
-    a = rng.uniform(-1, 1, 700)
-    b = a + rng.normal(0, 0.01, 700)
-    rep = metric_report(a, b, SMALL)
-    assert rep.n_samples == 700
-    assert rep.mse == pytest.approx(mse(a, b))
-    assert rep.lsd == pytest.approx(log_spectral_distance(a, b, SMALL))
-    assert rep.mse >= 0 and rep.lsd >= 0
-
-
-@pytest.mark.parametrize("mse_value, lsd_value", [(-1e-12, 0.0), (0.0, -0.5)])
-def test_metric_report_refuses_negative_metrics(mse_value, lsd_value):
-    with pytest.raises(ValueError, match="metrics cannot be negative"):
-        MetricReport(mse=mse_value, lsd=lsd_value, n_samples=10)
