@@ -9,8 +9,10 @@ input.  Softmax is skipped entirely: argmax of logits equals argmax of
 softmax(logits) and keeps generation deterministic.
 
 One step loop runs every driver.  Its inputs come in two phases: a forced
-sequence first, then samples fed back from the model's own argmax.  Its
-backend is one of two network passes, called as ``backend(session, x)``:
+sequence first, then samples fed back from the model's own argmax.  The
+loop keeps them in the mode's native representation, in one (steps, 1)
+input sequence converted once per run, and calls its backend, one of two
+network passes, as ``backend(session, xs)`` on the sequence so far:
 
 * ``_Session.forward`` — the queue path, O(layers) matvecs per sample, one
   engine call per layer plus the readout;
@@ -146,10 +148,11 @@ class _Session:
     """A configured model lowered into one numeric mode: native-format
     layer matrices and FC weight with its bias, one zeroed product ring per
     layer in sweep order (``mode.zeros``: float64, or int32 raws in fixed
-    point), a step count, an empty input history for the
-    full-history backend, and the run's ``OpStats``, given or its own.  The
-    session always counts, and only it does: the engine's matvecs are pure
+    point), and the run's ``OpStats``, given or its own.  The session
+    always counts, and only it does: the engine's matvecs are pure
     functions of their operands, so each backend records its own calls.
+    It keeps no inputs: each backend reads the run's input sequence from
+    ``_run``.
 
     Each (out, in) matrix is lowered once, input-major and dealt onto the
     lanes of the layer that reads it, with the mode's static facts (the
@@ -162,8 +165,8 @@ class _Session:
     Layer i's ring holds d = dilation rows of k0 products, one per input
     the layer received in the last d steps (zeros before that), so a layer
     with one input channel keeps out_channels values per row, not one.
-    Every ring advances once per step, so the one step count indexes them
-    all: at step t, row t mod d holds k0 times the input from d steps ago.
+    Every ring advances once per step, so the step index indexes them all:
+    at step t, row t mod d holds k0 times the input from d steps ago.
     """
 
     def __init__(self, cfg: ModelConfig, ws: WeightSet, mode, stats=None):
@@ -178,8 +181,6 @@ class _Session:
             ws.fc_weight.T, DEFAULT_PARALLELISM, mode.from_real(ws.fc_bias)
         )
         self.rings = [mode.zeros((s.dilation, s.out_channels)) for s in self.specs]
-        self.steps = 0
-        self.history = mode.zeros((0, 1))
 
     def _lower_real(self, w, p, bias=None):
         return _lower(self.mode.from_real(w), p.num_parallel_in, self.mode, bias)
@@ -205,20 +206,19 @@ class _Session:
             for (k0, k1), p in zip(self.ws.kernels, self.params)
         ]
 
-    def forward(self, x_scalar: float, observe=None):
-        """One full network pass on a scalar input; returns native logits.
+    def forward(self, xs, observe=None):
+        """One full network pass on the newest input of ``xs``, the run's
+        native (t + 1, 1) input sequence so far; returns native logits.
 
         Each layer makes one stacked matvec on its input: the k1 half adds to
         the ring row written d steps ago, and the k0 half takes that row's
-        place.  Engine rows are independent lanes, so each half has its own
-        matvec's bits, and the call is recorded as two matvecs.  When given,
-        ``observe(i, out)`` is called after each layer, in sweep order, with
-        the layer's index and its output in the mode's native representation,
-        before the step count advances: ``self.steps`` is still the index of
-        the step being run.
+        place, row t mod d.  Engine rows are independent lanes, so each half
+        has its own matvec's bits, and the call is recorded as two matvecs.
+        When given, ``observe(t, i, out)`` is called after each layer, in
+        sweep order, with the step index, the layer's index and its output in
+        the mode's native representation.
         """
-        mode, stats, t = self.mode, self.stats, self.steps
-        cur = mode.from_real(np.array([x_scalar], dtype=np.float64))
+        mode, stats, t, cur = self.mode, self.stats, len(xs) - 1, xs[-1]
         for i, (taps, ring, p) in enumerate(zip(self.taps, self.rings, self.params)):
             both = matvec(taps, cur, p=p, mode=mode)
             rows = ring.shape[1]
@@ -227,17 +227,13 @@ class _Session:
             cur = mode.tanh(mode.add(row, both[:rows]))
             row[:] = both[rows:]
             if observe is not None:
-                observe(i, cur)
-        self.steps = t + 1
+                observe(t, i, cur)
         return self._readout(cur)
 
-    def forward_naive(self, x_scalar: float):
-        """``forward`` without queues: appends the input to the history,
-        re-evaluates the whole layer stack over it, and projects the newest
-        activation."""
-        mode, stats = self.mode, self.stats
-        step_in = mode.from_real(np.array([[x_scalar]], dtype=np.float64))
-        self.history = act = np.concatenate([self.history, step_in], axis=0)
+    def forward_naive(self, xs):
+        """``forward`` without queues: re-evaluates the whole layer stack over
+        the input sequence ``xs`` and projects the newest activation."""
+        mode, stats, act = self.mode, self.stats, xs
         for spec, (k0, k1), p in zip(self.specs, self.kernels, self.params):
             lin = naive_dilated_conv_sequence(act, k0, k1, spec.dilation, p=p, mode=mode)
             act = mode.tanh(lin)
@@ -255,20 +251,27 @@ def _run(session: _Session, backend, forced, n: int, logit_sink=None) -> np.ndar
     """The step loop every driver runs; returns the argmax bin of each step.
 
     Step t's input is ``forced[t]`` for the forced steps, then the
-    dequantized bin of step t - 1 for ``n`` fed-back steps.  ``backend`` is
-    the network pass, ``_Session.forward`` or ``_Session.forward_naive``,
-    called as ``backend(session, x)``.  When ``logit_sink`` is a list,
-    the real-valued logits of every fed-back step are appended to it.
+    dequantized bin of step t - 1 for ``n`` fed-back steps.  Inputs are
+    converted to the mode once per run: the forced samples in one
+    ``from_real`` call, and every bin through the run's lattice, the native
+    value of each level's dequantized sample, so a fed-back step only
+    copies one lattice row.  ``backend`` is the network pass,
+    ``_Session.forward`` or ``_Session.forward_naive``, called as
+    ``backend(session, xs[: t + 1])`` on the native input sequence.  When
+    ``logit_sink`` is a list, the real-valued logits of every fed-back step
+    are appended to it.
     """
-    levels = session.cfg.quant_levels
-    n_forced = len(forced)
+    mode, levels, n_forced = session.mode, session.cfg.quant_levels, len(forced)
+    lattice = mode.from_real(dequantize(np.arange(levels), levels))
+    xs = mode.from_real(np.concatenate([forced, np.zeros(n)]))[:, None]
     bins = np.empty(n_forced + n, dtype=np.int64)
     b = None
     for t in range(bins.size):
-        x = forced[t] if t < n_forced else dequantize(b, levels)
-        logits = backend(session, x)
+        if t >= n_forced:
+            xs[t] = lattice[b]
+        logits = backend(session, xs[: t + 1])
         if logit_sink is not None and t >= n_forced:
-            logit_sink.append(session.mode.to_real(logits))
+            logit_sink.append(mode.to_real(logits))
         b = bins[t] = argmax_sample(logits)
     return bins
 
@@ -391,9 +394,9 @@ def teacher_forced_layer_outputs(
             raise ValueError(f"record_layers out of range [0, {n_layers - 1}], got {i}")
         layer_outputs[int(i)] = np.empty((inputs.size, session.specs[i].out_channels))
 
-    def record(i, out):
+    def record(t, i, out):
         if i in layer_outputs:
-            layer_outputs[i][session.steps] = mode.to_real(out)
+            layer_outputs[i][t] = mode.to_real(out)
 
     bins = _run(session, partial(_Session.forward, observe=record), inputs, 0)
     return TeacherForcedTrace(layer_outputs, bins)

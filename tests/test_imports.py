@@ -1,5 +1,7 @@
-"""Every name a module imports is used by that module, and every
-module-level private name in ``src/`` is read somewhere in ``src/``.
+"""Every name a module imports is used by that module, every
+module-level private name in ``src/`` is read somewhere in ``src/``, and
+every attribute a ``src/`` method sets on its instance is read somewhere in
+``src/``.
 
 No lint tool ships with the package, so these scans stand in for one.  The
 import scan covers ``src/`` and ``tests/``; ``__init__.py`` files are
@@ -19,6 +21,7 @@ MODULES = sorted(
     for path in (ROOT / top).rglob("*.py")
     if path.name != "__init__.py"
 )
+SRC = {str(path.relative_to(ROOT)): path.read_text() for path in (ROOT / "src").rglob("*.py")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,7 +83,55 @@ def test_the_scan_finds_an_unread_private_name():
 
 
 def test_every_private_name_in_src_is_read():
+    assert unread_private_names(SRC) == []
+
+
+def unread_instance_attributes(sources: dict[str, str]) -> list[str]:
+    """``module:Class.attr`` for each attribute a method of ``sources`` assigns
+    on its first argument (``self.attr = ...``) that no source reads as an
+    attribute, of any object."""
+    assigned, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or not fn.args.args:
+                    continue
+                me = fn.args.args[0].arg
+                assigned.update(
+                    (module, cls.name, node.attr)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == me
+                )
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    return sorted(f"{m}:{c}.{a}" for m, c, a in assigned if a not in read)
+
+
+def test_the_scan_finds_unread_instance_state():
     sources = {
-        str(path.relative_to(ROOT)): path.read_text() for path in (ROOT / "src").rglob("*.py")
+        "a": "class A:\n    def __init__(self):\n        self.kept = 1\n        self.gone = 2\n"
+        "    def bump(this):\n        this.count += 1\n        this.kept[0] = 0\n",
+        "b": "def f(a):\n    return a.kept\n",
     }
-    assert unread_private_names(sources) == []
+    assert unread_instance_attributes(sources) == ["a:A.count", "a:A.gone"]
+
+
+def test_the_scan_finds_state_planted_in_src():
+    path = "src/qwavenet/inference.py"
+    line = "        self.rings = ["
+    assert SRC[path].count(line) == 1
+    planted = {**SRC, path: SRC[path].replace(line, "        self._unused = 0\n" + line)}
+    assert unread_instance_attributes(planted) == ["src/qwavenet/inference.py:_Session._unused"]
+
+
+def test_every_instance_attribute_in_src_is_read():
+    assert unread_instance_attributes(SRC) == []

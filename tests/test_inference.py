@@ -1,5 +1,7 @@
 """Sample-by-sample generation, quantization, and teacher forcing."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,7 @@ from qwavenet import (
     validate_config,
 )
 from qwavenet.engine import _lower
-from qwavenet.inference import _Session, static_headroom
+from qwavenet.inference import _run, _Session, static_headroom
 from qwavenet.queues import naive_dilated_conv_sequence
 
 TINY = ModelConfig(num_blocks=1, layers_per_block=4, channels=8)
@@ -237,24 +239,26 @@ def test_generate_takes_int_sample_count_only(n):
 
 
 def test_generate_seed_drives_queues():
-    # the step count advances once per seed sample and once per emitted
-    # sample, and each ring's last-written row holds k0 times the last input
-    # its layer received
+    # the rings advance once per seed sample and once per emitted sample,
+    # and each ring's last-written row holds k0 times the last input its
+    # layer received
     ws = random_weights(TINY, seed=3)
+    mode = RealMode()
     for seed_len in (0, 1, 3, 7):
         seed = np.linspace(-0.5, 0.5, seed_len) if seed_len else None
-        sess = _Session(TINY, ws, RealMode())
+        sess = _Session(TINY, ws, mode)
         feed = [0.0] if seed_len == 0 else list(seed)
-        for x in feed:
-            sess.forward(float(x))
+        xs = mode.from_real(np.array(feed))[:, None]
+        for t in range(len(feed)):
+            sess.forward(xs[: t + 1])
         n = 11
         x = 0.25
         for _ in range(n):
-            inputs = [np.array([x])]
-            logits = sess.forward(x, observe=lambda i, out: inputs.append(out))
+            xs = np.concatenate([xs, mode.from_real(np.array([[x]]))])
+            inputs = [xs[-1]]
+            logits = sess.forward(xs, observe=lambda t, i, out: inputs.append(out))
             x = dequantize(argmax_sample(logits), TINY.quant_levels)
         total = len(feed) + n
-        assert sess.steps == total
         for ring, (k0, _), p, x_in in zip(sess.rings, sess.kernels, sess.params, inputs):
             want = matvec(k0, x_in, p=p, mode=RealMode())
             assert np.array_equal(ring[(total - 1) % ring.shape[0]], want)
@@ -377,9 +381,10 @@ def test_stacked_step_matches_input_queue_reference(cfg, scale, seed):
         states = [LayerState.fresh(s, dtype=mode.dtype) for s in specs]
         pairs = [(lowered(k0, p, mode), lowered(k1, p, mode)) for (k0, k1), p in zip(ws.kernels, params)]
         fc = lowered(ws.fc_weight.T, DEFAULT_PARALLELISM, mode, mode.from_real(ws.fc_bias))
+        native = mode.from_real(xs)[:, None]
         for t, x in enumerate(xs):
             outs = []
-            logits = sess.forward(x, observe=lambda i, out: outs.append(out))
+            logits = sess.forward(native[: t + 1], observe=lambda _, i, out: outs.append(out))
             cur = mode.from_real(np.array([x]))
             for i, (state, (k0, k1), p) in enumerate(zip(states, pairs, params)):
                 cur = dilated_conv_step(state, cur, k0, k1, p=p, mode=mode)
@@ -501,12 +506,53 @@ def test_teacher_forced_refuses_non_integer_layer_indices(layers):
 def test_forward_observer_sees_every_layer_in_sweep_order(mode):
     cfg = ModelConfig(num_blocks=2, layers_per_block=3, channels=4)
     sess = _Session(cfg, random_weights(cfg, seed=3), mode)
+    xs = mode.from_real(np.array([[0.25], [-0.5], [0.0]]))
     seen = []
-    for x in (0.25, -0.5, 0.0):
-        sess.forward(x, observe=lambda i, out: seen.append((i, out.dtype, out.shape)))
+    for t in range(len(xs)):
+        sess.forward(xs[: t + 1], observe=lambda t, i, out: seen.append((t, i, out.dtype, out.shape)))
     L = cfg.total_layers
-    assert [i for i, _, _ in seen] == list(range(L)) * 3
-    assert all(dtype == mode.dtype and shape == (4,) for _, dtype, shape in seen)
+    assert [(t, i) for t, i, _, _ in seen] == [(t, i) for t in range(3) for i in range(L)]
+    assert all(dtype == mode.dtype and shape == (4,) for _, _, dtype, shape in seen)
+
+
+@pytest.mark.parametrize("text", ["real", "fixed<27,8>", "fixed<16,3>", "fixed<2,1>", "fixed<27,27>"])
+@pytest.mark.parametrize("levels", [2, 3, 256])
+def test_fed_back_inputs_are_the_lattice_rows(text, levels):
+    """Every bin fed back enters the backend as the native value the step
+    loop used to convert on each step: ``from_real`` of its dequantized
+    sample.  Forced samples enter as ``from_real`` of each one."""
+    mode = parse_mode(text)
+    session = SimpleNamespace(mode=mode, cfg=SimpleNamespace(quant_levels=levels))
+    forced = np.array([-1.0, 0.3, 1.0])
+    seen = []
+
+    def backend(session, xs):
+        # step t emits bin t - 2 (clamped), so the fed-back inputs walk every level
+        seen.append(xs.copy())
+        logits = np.zeros(levels)
+        logits[min(max(len(xs) - 3, 0), levels - 1)] = 1.0
+        return logits
+
+    bins = _run(session, backend, forced, levels)
+    xs = seen[-1]
+    assert [len(x) for x in seen] == list(range(1, len(forced) + levels + 1))
+    assert all(np.array_equal(x, xs[: len(x)]) for x in seen)
+    assert xs.dtype == mode.from_real(forced).dtype and xs.shape == (len(forced) + levels, 1)
+    for t, x in enumerate(forced):
+        assert np.array_equal(xs[t], mode.from_real(np.array([x])))
+    for b in range(levels):
+        assert bins[len(forced) + b - 1] == b
+        assert np.array_equal(xs[len(forced) + b], mode.from_real(np.array([dequantize(b, levels)])))
+
+
+@pytest.mark.parametrize("forward", [_Session.forward, _Session.forward_naive])
+def test_fixed_point_backends_refuse_real_input_sequences(forward):
+    # a float sequence in a fixed-point session would be truncated to raws
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
+    sess = _Session(cfg, random_weights(cfg, seed=3), FixedMode())
+    with pytest.raises(TypeError, match="from_real"):
+        forward(sess, np.array([[0.5], [0.25]]))
+    assert not any(ring.any() for ring in sess.rings)
 
 
 @pytest.mark.parametrize(
