@@ -5,8 +5,10 @@ Subcommands:
 * ``generate`` — run the autoregressive generator on one session and write a
   WAV file, with an optional JSON run report read from that session (the
   engine parallelism each layer ran at, its matvec and MAC counts, and in
-  fixed point each layer's static headroom) beside timings, throughput,
-  config/weight digests, Python/numpy versions and CPU count.  An output
+  fixed point each layer's static headroom and the layers whose matvec is
+  the static shortcut) beside timings, throughput, per-layer and per-step
+  times from a timing observer, config/weight digests, Python/numpy
+  versions and CPU count.  An output
   path that names a directory, or lies in a missing one, and any two of
   ``--config``, ``--weights``, ``--out`` and ``--report`` that name one file,
   are refused before the session is built;
@@ -56,11 +58,37 @@ class RunReport:
     config_digest: str
     weights_sha256: str
     static_headroom: list | None = None  # per layer, fixed point only
+    static_shortcut: list | None = None  # layer indices, fixed point only
     matvec_calls: int = 0
     mac_ops: int = 0
+    layer_us_median: list | None = None
+    step_us_p50: float | None = None
+    step_us_p99: float | None = None
     python: str = field(default_factory=platform.python_version)
     numpy: str = np.__version__
     cpu_count: int | None = field(default_factory=os.cpu_count)
+
+
+class _StepTimer:
+    """A timing observer for ``_Session.forward``, which reads the clock
+    itself: layer i's time runs from the previous callback, or from the
+    step's start, to its own, and a step is one network pass, readout
+    included.  ``forward`` is the step loop's backend."""
+
+    def __init__(self, layers: int):
+        self.layer_ns = [[] for _ in range(layers)]
+        self.step_ns = []
+
+    def forward(self, session, xs):
+        self.last = start = time.perf_counter_ns()
+        logits = session.forward(xs, observe=self)
+        self.step_ns.append(time.perf_counter_ns() - start)
+        return logits
+
+    def __call__(self, t, i, out):
+        now = time.perf_counter_ns()
+        self.layer_ns[i].append(now - self.last)
+        self.last = now
 
 
 def _sha256_file(path) -> str:
@@ -111,11 +139,15 @@ def _cmd_generate(args) -> int:
 
     t0 = time.perf_counter()
     session = _Session(cfg, ws, mode)
-    wf = _generate(session, _Session.forward, None, n)
+    timer = _StepTimer(len(session.specs)) if args.report else None
+    wf = _generate(session, timer.forward if timer else _Session.forward, None, n)
     wall = time.perf_counter() - t0
     write_wav(args.out, wf.samples, wf.sample_rate)
 
     if args.report:
+        # step 0 is the zero warm-up sample, which also lowers the taps
+        headroom = static_headroom(session) if isinstance(mode, FixedMode) else None
+        step_us = np.array(timer.step_ns[1:]) / 1e3
         report = RunReport(
             samples_generated=n,
             wall_time=wall,
@@ -124,9 +156,13 @@ def _cmd_generate(args) -> int:
             layer_params=[[p.num_parallel_out, p.num_parallel_in] for p in session.params],
             config_digest=config_digest(cfg),
             weights_sha256=_sha256_file(args.weights),
-            static_headroom=static_headroom(session) if isinstance(mode, FixedMode) else None,
+            static_headroom=headroom,
+            static_shortcut=None if headroom is None else [i for i, h in enumerate(headroom) if h <= 1],
             matvec_calls=session.stats.matvec_calls,
             mac_ops=session.stats.mac_ops,
+            layer_us_median=[float(np.median(ns[1:])) / 1e3 for ns in timer.layer_ns],
+            step_us_p50=float(np.percentile(step_us, 50)),
+            step_us_p99=float(np.percentile(step_us, 99)),
         )
         with open(args.report, "w") as fh:
             json.dump(asdict(report), fh, indent=2)

@@ -28,7 +28,11 @@ amortizes call overhead.
 In fixed point ``FixedMode.mac`` takes the row-bound shortcut, the exact
 lane sums or the clipped fold; its docstring states that ladder and why
 each rung gives the fold's bits.  Raws outside the format range are
-refused: weights and bias when lowered, inputs per call.
+refused: weights and bias when lowered, inputs per call.  ``matvec`` and
+``matvec_cols`` check every operand: shapes, lanes, the lowering's mode,
+native inputs and, in ``mac``, the input's range.  ``_kernel`` is their
+arithmetic with none of those checks; ``_Session`` runs it, or the mode's
+prepared shortcut, on inputs whose facts it has established itself.
 
 ``estimate_cycles`` is the analytic cost model for the same datapath: one
 cycle per MAC round per accumulator, plus tree depth, plus one accumulate,
@@ -168,14 +172,22 @@ def matvec_cols(W, X, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL):
     M, N = W.shape
     if X.ndim != 2 or X.shape[0] != N:
         raise ShapeMismatchError(f"matvec shapes {W.shape} vs {X.shape}")
-    # products[k, l, r, t] = W[r, k*p_in + l] * X[k*p_in + l, t]; rows and
-    # columns are independent lanes, so evaluating them together keeps each
-    # column's declared MAC/tree order exactly.  Both operands are
-    # contiguous, which keeps the product contiguous for the fold.
-    out = _tree_reduce(mode.mac(W, _deal(np.ascontiguousarray(X), p_in)), mode)
+    out = _kernel(W, np.ascontiguousarray(X))
     if W.bias is not None:
         out = mode.add(out, W.bias[:, None])
     return out
+
+
+def _kernel(W, X):
+    """The engine's arithmetic on a lowered W and native, contiguous (N, T)
+    columns X, without the bias, checking nothing but what ``mac`` checks.
+
+    products[k, l, r, t] = W[r, k*p_in + l] * X[k*p_in + l, t]; rows and
+    columns are independent lanes, so evaluating them together keeps each
+    column's declared MAC/tree order exactly.  Both operands are
+    contiguous, which keeps the product contiguous for the fold.
+    """
+    return _tree_reduce(W.mode.mac(W, _deal(X, W.wd.shape[1])), W.mode)
 
 
 def matvec(W, x, bias=None, p=DEFAULT_PARALLELISM, mode=_REAL):

@@ -15,7 +15,7 @@ input sequence converted once per run, and calls its backend, one of two
 network passes, as ``backend(session, xs)`` on the sequence so far:
 
 * ``_Session.forward`` — the queue path, O(layers) matvecs per sample, one
-  engine call per layer plus the readout;
+  prepared matvec per layer plus the readout;
 * ``_Session.forward_naive`` — recomputes every layer activation from the
   full input history each step (no queues).  Its per-sample cost grows with
   time; it exists as the reference the queue path must match exactly.
@@ -30,6 +30,15 @@ Seed samples warm the rings before generation: their argmax outputs are
 discarded except the last, which becomes the first generation input.  An
 empty seed means a single zero sample.  Seeds and forced inputs pass one
 check: a 1-D sequence of reals in [-1, 1].
+
+Each check runs where its fact is established.  ``_run`` converts a run's
+inputs once, and ``forward`` checks each step's newest input once with the
+mode's ``step_input`` (native, and |x_raw| <= 2^f in fixed point); the
+layer outputs are ``tanh``'s, within that bound by its docstring.  So the
+session's prepared matvecs (``_prepare``) check nothing: in fixed point, a
+matrix whose static row bound at 2^f fits runs the shortcut rung alone,
+and any other runs the engine's kernel, whose ``mac`` scans its input.
+The public engine entry points keep every check for direct callers.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .engine import DEFAULT_PARALLELISM, ParallelismParams, _lower, matvec
+from .engine import DEFAULT_PARALLELISM, ParallelismParams, _kernel, _lower
 from .model import _FIELD_MAX, ModelConfig, validate_config
 from .numerics import FixedMode, RealMode, _round_half_away_f64
 from .queues import naive_dilated_conv_sequence
@@ -160,7 +169,8 @@ class _Session:
     it.  Layers run at ``default_layer_params``, the FC layer at
     ``DEFAULT_PARALLELISM``.  Each backend lowers only what it reads:
     ``forward`` a layer's stacked taps [k1; k0], ``forward_naive`` its
-    (k0, k1) pair.
+    (k0, k1) pair.  Each layer's taps and the readout are also prepared
+    once (``_prepare``) as the matvec a step applies to one vector.
 
     Layer i's ring holds d = dilation rows of k0 products, one per input
     the layer received in the last d steps (zeros before that), so a layer
@@ -180,6 +190,7 @@ class _Session:
         self.fc_wt = self._lower_real(
             ws.fc_weight.T, DEFAULT_PARALLELISM, mode.from_real(ws.fc_bias)
         )
+        self.readout = _prepare(self.fc_wt)
         self.rings = [mode.zeros((s.dilation, s.out_channels)) for s in self.specs]
 
     def _lower_real(self, w, p, bias=None):
@@ -199,6 +210,11 @@ class _Session:
         ]
 
     @cached_property
+    def steps(self):
+        """Per layer, ``_prepare`` of its stacked taps."""
+        return [_prepare(taps) for taps in self.taps]
+
+    @cached_property
     def kernels(self):
         """Per layer, the lowered (k0, k1) pair the full-history pass reads."""
         return [
@@ -214,16 +230,19 @@ class _Session:
         the ring row written d steps ago, and the k0 half takes that row's
         place, row t mod d.  Engine rows are independent lanes, so each half
         has its own matvec's bits, and the call is recorded as two matvecs.
+        The newest input is checked by ``mode.step_input`` before any ring
+        row is written.
         When given, ``observe(t, i, out)`` is called after each layer, in
         sweep order, with the step index, the layer's index and its output in
         the mode's native representation.
         """
-        mode, stats, t, cur = self.mode, self.stats, len(xs) - 1, xs[-1]
-        for i, (taps, ring, p) in enumerate(zip(self.taps, self.rings, self.params)):
-            both = matvec(taps, cur, p=p, mode=mode)
-            rows = ring.shape[1]
-            stats.record(rows, taps.shape[1], 2)
-            row = ring[t % ring.shape[0]]
+        mode, stats, t = self.mode, self.stats, len(xs) - 1
+        cur = mode.step_input(xs[-1])
+        for i, (step, ring, spec) in enumerate(zip(self.steps, self.rings, self.specs)):
+            both = step(cur)
+            rows = spec.out_channels
+            stats.record(rows, spec.in_channels, 2)
+            row = ring[t % spec.dilation]
             cur = mode.tanh(mode.add(row, both[:rows]))
             row[:] = both[rows:]
             if observe is not None:
@@ -244,7 +263,20 @@ class _Session:
         """The FC projection of the last layer's output: native logits, one
         recorded matvec."""
         self.stats.record(*self.fc_wt.shape)
-        return matvec(self.fc_wt, act, mode=self.mode)
+        return self.readout(act)
+
+
+def _prepare(w):
+    """The matvec a step applies to lowered matrix ``w``, as a function of
+    one generated (N,) vector, built once: ``mode.prepare``'s shortcut when
+    it gives one, else the engine's ``_kernel``, whose fixed-point ladder
+    scans the input; then the bias.  It gives ``matvec``'s bits without its
+    checks, whose facts the session holds (see the module docstring)."""
+    mode = w.mode
+    step = mode.prepare(w) or (lambda x: _kernel(w, x[:, None])[:, 0])
+    if w.bias is None:
+        return step
+    return lambda x: mode.add(step(x), w.bias)
 
 
 def _run(session: _Session, backend, forced, n: int, logit_sink=None) -> np.ndarray:
@@ -342,16 +374,16 @@ def generate_naive(
 
 def static_headroom(session: _Session) -> list[float]:
     """Per layer, in sweep order, for a session in a fixed-point mode: the
-    ``FixedMode.row_bound`` of its stacked taps at inputs |x| <= 1, as a share
-    of raw_max, read from the facts the session cached when it lowered them.
-    The stack's S_max is the larger of its two kernels', so this is the
-    larger of their bounds.  Below 1, no matvec of the layer can saturate on
-    inputs in [-1, 1]."""
+    ``FixedMode.generated_headroom`` of its stacked taps, the row bound at
+    inputs |x| <= 1 as a share of raw_max, read from the facts the session
+    cached when it lowered them.  The stack's S_max is the larger of its two
+    kernels', so this is the larger of their bounds.  At most 1, no matvec
+    of the layer can saturate on inputs in [-1, 1], and ``_prepare`` gives
+    the layer the static shortcut: it is the same decision."""
     mode = session.mode
     if not isinstance(mode, FixedMode):
         raise TypeError(f"static_headroom needs a fixed-point mode, got {mode}")
-    fmt = mode.fmt
-    return [mode.row_bound(taps, 1 << fmt.frac_bits) / fmt.raw_max for taps in session.taps]
+    return [mode.generated_headroom(taps) for taps in session.taps]
 
 
 @dataclass(frozen=True)

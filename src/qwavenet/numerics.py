@@ -11,7 +11,9 @@ operand and static facts kept with a lowered weight matrix and its bias,
 and the multiply plus sequential accumulation of lane-major products, whose
 partials the engine's reduction tree then combines.  ``FixedMode.mac``
 states how fixed point rounds every product exactly in float64 and when its
-accumulation may skip the clips.
+accumulation may skip the clips.  For a generated step, ``step_input``
+checks the one new input, and ``prepare`` hands out ``mac``'s shortcut
+rung, unchecked, for a matrix whose row bound covers every such input.
 
 The raw-array operations live here too: ``quantize_real`` and ``mul_raw``,
 and the rounding, saturation and operand rules ``FixedMode`` is built from.
@@ -124,6 +126,30 @@ def _max_abs(arr, fmt: FxFormat) -> int:
     return max(hi, -lo)
 
 
+def _rounded_products(operand, offset, x):
+    """``FixedMode.mac``'s rounded products trunc(W_raw·2^-f·|x_raw| + C) of
+    a lowered operand and its offsets, laid out (..., rows), with raws ``x``
+    laid out (..., columns): (..., rows, columns).  ``einsum`` forms each
+    exact product in about two thirds of a broadcast multiply's time; the
+    +0 it gives a zero product is moot once C = +-1/2 is added."""
+    q = np.einsum("...r,...c->...rc", operand, np.abs(x, dtype=np.float64))
+    q += offset[..., None]
+    return np.trunc(q, out=q)
+
+
+def _shortcut(operand, offset, x):
+    """``FixedMode.mac``'s shortcut rung: the int64 (rows, columns) row sums
+    of the rounded products of a lowered operand and its offsets, read
+    input-major as (N, rows), with (N, columns) raws ``x``.  One contraction
+    with sign(x), BLAS's ``@`` for one column.  It checks nothing: the
+    caller has shown that ``row_bound`` fits at x."""
+    q = _rounded_products(operand, offset, x)
+    sign = np.sign(x, dtype=np.float64)
+    if x.shape[1] == 1:
+        return (sign[:, 0] @ q[:, :, 0]).astype(np.int64)[:, None]
+    return np.einsum("krc,kc->rc", q, sign).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class RealMode:
     """Double-precision arithmetic; arrays are plain float64."""
@@ -148,6 +174,12 @@ class RealMode:
         """Real arithmetic multiplies the dealt weights as they are and needs
         no static facts about them."""
         return wd, None
+
+    def prepare(self, w):
+        """Real arithmetic has no shortcut: every step runs the engine."""
+        return None
+
+    step_input = native
 
     def mac(self, w, xd):
         """Products of a lowered matrix and dealt columns, left-folded over the
@@ -255,9 +287,10 @@ class FixedMode:
         - Shortcut, when ``row_bound`` fits the format: each |q| of a row is
           at most |W_raw|·m/2^f + 1/2, so its Σ|q| is at most S_max·m/2^f +
           N/2, which the bound covers, and nothing saturates.  The row sum
-          is one contraction of q with sign(x) (BLAS's ``@`` for one
-          column), exact in any order, as every partial sum is an integer of
-          at most raw_max; it comes back as one partial with no clip.
+          is one contraction of q with sign(x), exact in any order, as every
+          partial sum is an integer of at most raw_max (``_shortcut``, which
+          ``prepare`` also hands out); it comes back as one partial with no
+          clip.
         - Exact lanes, only when ``_products_fit`` shows from w_max·m that
           no product can clip: every prefix of a lane's fold lies between
           the sums of its negative and of its positive products, so when
@@ -275,21 +308,19 @@ class FixedMode:
 
         Lane sums stay below chunks·raw_max and fold values below
         2·raw_max, so both are exact in float64.  Input raws outside the
-        format range are refused.
+        format range are refused: this scan is ``mac``'s one check, and its
+        m picks the rung.  A generated step whose bound at m = 2^f fits
+        skips both and runs the shortcut alone (``prepare``).
         """
         fmt = self.fmt
         raw_min, raw_max = fmt.raw_min, fmt.raw_max
         m = _max_abs(xd, fmt)
-        sign = np.sign(xd, dtype=np.float64)
         c = w.facts[2]
-        q = w.wd[..., None] * np.abs(xd, dtype=np.float64)[:, :, None, :]
-        q += c[..., None]
-        np.trunc(q, out=q)
         if self.row_bound(w, m) <= raw_max:
-            if q.shape[3] == 1:
-                k = q.shape[0] * q.shape[1]
-                return (sign.reshape(k) @ q.reshape(k, -1)).astype(np.int64)[None, :, None]
-            return np.einsum("kprc,kpc->rc", q, sign).astype(np.int64)[None]
+            k = xd.shape[0] * xd.shape[1]
+            return _shortcut(w.wd.reshape(k, -1), c.reshape(k, -1), xd.reshape(k, -1))[None]
+        sign = np.sign(xd, dtype=np.float64)
+        q = _rounded_products(w.wd, c, xd)
         fits = _products_fit(w.facts[1], m, fmt)
         if fits:
             total = np.einsum("kprc,kpc->prc", q, sign)
@@ -305,6 +336,34 @@ class FixedMode:
             np.minimum(acc, raw_max, out=acc)
             np.maximum(acc, raw_min, out=acc)
         return acc.astype(np.int64)
+
+    def generated_headroom(self, w) -> float:
+        """``row_bound`` of lowered matrix ``w`` at |x_raw| <= 2^f, the bound
+        of every generated input (``step_input``), as a share of raw_max; at
+        most 1 exactly when the bound fits, as raw_max < 2^26."""
+        fmt = self.fmt
+        return self.row_bound(w, 1 << fmt.frac_bits) / fmt.raw_max
+
+    def prepare(self, w):
+        """The shortcut rung alone for lowered matrix ``w``, without its bias,
+        as a function of one (N,) vector of raws with |x_raw| <= 2^f, when
+        ``generated_headroom`` is at most 1, and otherwise None.  It reads
+        views of ``w``'s operand and offsets, less a short last chunk's
+        padding, whose products are 0."""
+        if self.generated_headroom(w) > 1:
+            return None
+        rows, n = w.shape
+        operand, offset = (a.reshape(-1, rows)[:n] for a in (w.wd, w.facts[2]))
+        return lambda x: _shortcut(operand, offset, x[:, None])[:, 0]
+
+    def step_input(self, x):
+        """``x`` as native raws for ``prepare``'s functions, refused when a
+        float or when some |x_raw| passes 2^f: a generated input is a sample
+        in [-1, 1] or a ``tanh`` output, and both lie within that bound."""
+        x = _as_raws(x)
+        if _max_abs(x, self.fmt) > 1 << self.fmt.frac_bits:
+            raise ValueError(f"step input past |x| = 1 in {self.fmt}")
+        return x
 
     def __str__(self) -> str:
         return str(self.fmt)

@@ -78,7 +78,11 @@ def test_generate_writes_wav_and_report(model_files, tmp_path, capsys):
     assert data["python"] == platform.python_version()
     assert data["numpy"] == np.__version__
     assert data["cpu_count"] == os.cpu_count()
-    assert data["static_headroom"] is None
+    assert data["static_headroom"] is None and data["static_shortcut"] is None
+    # the timing observer's figures, over the 50 generated steps
+    assert len(data["layer_us_median"]) == TINY.total_layers
+    assert all(us > 0 for us in data["layer_us_median"])
+    assert 0 < data["step_us_p50"] <= data["step_us_p99"]
     # the session's own counts: one zero warm-up step, then the 50 samples
     want = expected_op_counts(TINY, 51)[0]
     assert (data["matvec_calls"], data["mac_ops"]) == (want.matvec_calls, want.mac_ops)
@@ -95,9 +99,11 @@ def test_generate_writes_wav_and_report(model_files, tmp_path, capsys):
         ]
     )
     assert rc == 0
-    headroom = json.loads(report.read_text())["static_headroom"]
+    data = json.loads(report.read_text())
+    headroom = data["static_headroom"]
     assert len(headroom) == TINY.total_layers
     assert all(0 < h < 1 for h in headroom)
+    assert data["static_shortcut"] == list(range(TINY.total_layers))
     # read from the run's session, it equals a fresh session's
     fresh = inference._Session(TINY, random_weights(TINY, seed=11), parse_mode("fixed<27,8>"))
     assert headroom == inference.static_headroom(fresh)

@@ -25,14 +25,17 @@ from qwavenet import (
     generate,
     generate_naive,
     matvec,
+    matvec_cols,
+    mul_raw,
     parse_mode,
     quantize,
     random_weights,
     teacher_forced_layer_outputs,
     validate_config,
 )
+from qwavenet import numerics
 from qwavenet.engine import _lower
-from qwavenet.inference import _run, _Session, static_headroom
+from qwavenet.inference import _generate, _prepare, _run, _Session, static_headroom
 from qwavenet.queues import naive_dilated_conv_sequence
 
 TINY = ModelConfig(num_blocks=1, layers_per_block=4, channels=8)
@@ -586,6 +589,136 @@ def test_static_headroom_refuses_non_fixed_modes():
     cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
     with pytest.raises(TypeError, match="fixed-point mode"):
         static_headroom(_Session(cfg, random_weights(cfg, seed=1), RealMode()))
+
+
+# ---------------------------------------------------------------------------
+# prepared steps
+
+
+PREPARED_MODES = ["real", "fixed<27,8>", "fixed<24,4>", "fixed<16,3>", "fixed<10,1>", "fixed<2,1>", "fixed<27,27>"]
+
+
+def generated_inputs(mode, n, rng):
+    """n-vectors a generator can feed a step: samples in [-1, 1] in real
+    mode, raws with |x| <= 2^f in fixed point; the first holds both ends and
+    0, the second is all zeros."""
+    if isinstance(mode, RealMode):
+        lo, hi = -1.0, 1.0
+        xs = [rng.uniform(lo, hi, n) for _ in range(4)]
+    else:
+        fmt = mode.fmt
+        lo, hi = max(fmt.raw_min, -(1 << fmt.frac_bits)), min(fmt.raw_max, 1 << fmt.frac_bits)
+        xs = [rng.integers(lo, hi + 1, n) for _ in range(4)]
+    xs[0][: min(n, 3)] = [lo, hi, 0][: min(n, 3)]
+    xs[1][:] = 0
+    return xs
+
+
+@pytest.mark.parametrize("text", PREPARED_MODES)
+@pytest.mark.parametrize("p_in", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", [8, 7, 1], ids=["full-chunks", "short-last-chunk", "one-input"])
+def test_prepared_step_equals_matvec(text, p_in, n):
+    """The prepared step of a lowered matrix gives ``matvec``'s bits on every
+    generated input, with and without a bias (the readout has one), whether
+    it is the static shortcut or the engine's kernel; weights small enough
+    for the shortcut and the format's full range both occur."""
+    mode = parse_mode(text)
+    rng = np.random.default_rng([p_in, n, len(text)])
+    p = ParallelismParams(1, p_in)
+    taken = set()
+    for scale in (0.02, 1.0):
+        if isinstance(mode, RealMode):
+            W, bias = rng.uniform(-scale, scale, (2, 5, n))
+            bias = bias[:, 0]
+        else:
+            fmt = mode.fmt
+            W = rng.integers(int(fmt.raw_min * scale), int(fmt.raw_max * scale) + 1, (5, n))
+            W[0] = fmt.raw_min if scale == 1.0 else W[0]  # a row sum past the static bound
+            bias = rng.integers(fmt.raw_min, fmt.raw_max + 1, 5)
+        for b in (None, bias):
+            w = _lower(W, p_in, mode, b)
+            if isinstance(mode, FixedMode):
+                shortcut = mode.generated_headroom(w) <= 1
+                assert (mode.prepare(w) is not None) == shortcut
+                taken.add(shortcut)
+            step = _prepare(w)
+            for x in generated_inputs(mode, n, rng):
+                want = matvec(w, x, p=p, mode=mode)
+                got = step(x)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    if isinstance(mode, FixedMode):
+        # in fixed<2,1> (raw_max 1) only a zero row of one input fits
+        assert taken == ({False} if text == "fixed<2,1>" and n > 1 else {True, False})
+
+
+def count_scans(monkeypatch):
+    calls = []
+    scan = numerics._max_abs
+
+    def counted(arr, fmt):
+        calls.append(arr.shape)
+        return scan(arr, fmt)
+
+    monkeypatch.setattr(numerics, "_max_abs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text, ladder_layers", [("fixed<27,8>", 0), ("fixed<16,3>", 27)])
+def test_generated_steps_scan_only_where_the_static_bound_fails(monkeypatch, text, ladder_layers):
+    """On the bundle model a generated step scans its newest input once, and
+    the input of every matrix whose static bound fails once more in ``mac``:
+    in fixed<27,8> no layer and not the readout, in fixed<16,3> 27 layers.
+    Fewer scans would be a shortcut the bound does not cover, more a lost
+    shortcut."""
+    cfg = ModelConfig()
+    mode = parse_mode(text)
+    sess = _Session(cfg, random_weights(cfg, seed=2020, scale=0.25), mode)
+    ladder = [h > 1 for h in static_headroom(sess)]
+    assert sum(ladder) == ladder_layers
+    ladder.append(mode.generated_headroom(sess.fc_wt) > 1)
+    sess.steps  # lower the taps before counting
+    calls = count_scans(monkeypatch)
+    _generate(sess, _Session.forward, [0.25, -1.0], 2)
+    assert len(calls) == 4 * (1 + sum(ladder))
+    assert calls[:: 1 + sum(ladder)] == [(1,)] * 4
+
+
+@pytest.mark.parametrize("bad", [2**19 + 1, -(2**19) - 1, 2**26 - 1])
+def test_forward_refuses_a_newest_raw_past_one_before_writing_a_ring(bad):
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
+    sess = _Session(cfg, random_weights(cfg, seed=3), FixedMode())
+    xs = np.array([[1 << 19], [bad]])
+    with pytest.raises(ValueError, match="past"):
+        sess.forward(xs)
+    assert not any(ring.any() for ring in sess.rings)
+    sess.forward(xs[:1])  # the bound itself is a generated input
+    assert all(ring.any() for ring in sess.rings[:1])
+
+
+def test_entry_points_keep_their_checks_beside_prepared_steps():
+    """A session's prepared shortcut checks nothing, but the matrices it was
+    built from, and every public entry point, still refuse floats and raws
+    out of range."""
+    cfg = ModelConfig(num_blocks=1, layers_per_block=2, channels=4)
+    mode = FixedMode()
+    fmt = mode.fmt
+    sess = _Session(cfg, random_weights(cfg, seed=3), mode)
+    taps = sess.taps[1]
+    assert mode.prepare(taps) is not None
+    p = sess.params[1]
+    for bad, err in ((np.full(4, 0.5), TypeError), (np.array([0, 0, 0, fmt.raw_max + 1]), ValueError)):
+        with pytest.raises(err):
+            matvec(taps, bad, p=p, mode=mode)
+        with pytest.raises(err):
+            matvec_cols(taps, bad[:, None], p=p, mode=mode)
+        with pytest.raises(err):
+            mul_raw(bad, np.ones(4, np.int64), fmt)
+    with pytest.raises(TypeError):
+        mode.add(np.full(4, 0.5), np.zeros(4, np.int64))
+    with pytest.raises(TypeError):
+        mode.tanh(np.full(4, 0.5))
+    with pytest.raises(ValueError, match="does not fit int64"):
+        mode.tanh(np.array([2**64 - 1], np.uint64))
 
 
 @pytest.mark.parametrize("mode", [RealMode(), FixedMode()], ids=["real", "fixed"])
