@@ -5,10 +5,12 @@ Subcommands:
 * ``generate`` — run the autoregressive generator on one session and write a
   WAV file, with an optional JSON run report read from that session (the
   engine parallelism each layer ran at, its matvec and MAC counts, and in
-  fixed point each layer's static headroom and the layers whose matvec is
-  the static shortcut) beside timings, throughput, per-layer and per-step
-  times from a timing observer, config/weight digests, Python/numpy
-  versions and CPU count.  An output
+  fixed point each layer's static headroom, the layers whose matvec is
+  the static shortcut, and the rung each layer's and the readout's
+  prepared matvec runs: ``shortcut``, ``lanes`` or ``ladder``) beside
+  timings, throughput, per-layer and per-step times from a timing
+  observer, config/weight digests, Python/numpy versions and CPU count.
+  An output
   path that names a directory, or lies in a missing one, and any two of
   ``--config``, ``--weights``, ``--out`` and ``--report`` that name one file,
   are refused before the session is built;
@@ -59,6 +61,7 @@ class RunReport:
     weights_sha256: str
     static_headroom: list | None = None  # per layer, fixed point only
     static_shortcut: list | None = None  # layer indices, fixed point only
+    prepared_rungs: list | None = None  # per layer, then the readout; fixed point only
     matvec_calls: int = 0
     mac_ops: int = 0
     layer_us_median: list | None = None
@@ -158,6 +161,9 @@ def _cmd_generate(args) -> int:
             weights_sha256=_sha256_file(args.weights),
             static_headroom=headroom,
             static_shortcut=None if headroom is None else [i for i, h in enumerate(headroom) if h <= 1],
+            prepared_rungs=None
+            if headroom is None
+            else [mode.prepare(w)[0] for w in (*session.taps, session.fc_wt)],
             matvec_calls=session.stats.matvec_calls,
             mac_ops=session.stats.mac_ops,
             layer_us_median=[float(np.median(ns[1:])) / 1e3 for ns in timer.layer_ns],

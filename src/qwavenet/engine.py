@@ -32,7 +32,8 @@ refused: weights and bias when lowered, inputs per call.  ``matvec`` and
 ``matvec_cols`` check every operand: shapes, lanes, the lowering's mode,
 native inputs and, in ``mac``, the input's range.  ``_kernel`` is their
 arithmetic with none of those checks; ``_Session`` runs it, or the mode's
-prepared shortcut, on inputs whose facts it has established itself.
+prepared rung (the shortcut, or the exact lanes or their fold through
+``_tree_reduce``), on inputs whose facts it has established itself.
 
 ``estimate_cycles`` is the analytic cost model for the same datapath: one
 cycle per MAC round per accumulator, plus tree depth, plus one accumulate,

@@ -36,9 +36,12 @@ inputs once, and ``forward`` checks each step's newest input once with the
 mode's ``step_input`` (native, and |x_raw| <= 2^f in fixed point); the
 layer outputs are ``tanh``'s, within that bound by its docstring.  So the
 session's prepared matvecs (``_prepare``) check nothing: in fixed point, a
-matrix whose static row bound at 2^f fits runs the shortcut rung alone,
-and any other runs the engine's kernel, whose ``mac`` scans its input.
-The public engine entry points keep every check for direct callers.
+matrix whose static row bound at 2^f fits runs the shortcut rung alone; one
+whose products cannot clip at 2^f (no weight raw is raw_min) runs the exact
+lanes, or their fold when the lane test fails, with no scan; any other
+runs the engine's kernel, whose ``mac`` scans its input.  On the bundle
+weights a generated step so scans only its newest input.  The public
+engine entry points keep every check for direct callers.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .engine import DEFAULT_PARALLELISM, ParallelismParams, _kernel, _lower
+from .engine import DEFAULT_PARALLELISM, ParallelismParams, _kernel, _lower, _tree_reduce
 from .model import _FIELD_MAX, ModelConfig, validate_config
 from .numerics import FixedMode, RealMode, _round_half_away_f64
 from .queues import naive_dilated_conv_sequence
@@ -268,12 +271,17 @@ class _Session:
 
 def _prepare(w):
     """The matvec a step applies to lowered matrix ``w``, as a function of
-    one generated (N,) vector, built once: ``mode.prepare``'s shortcut when
-    it gives one, else the engine's ``_kernel``, whose fixed-point ladder
-    scans the input; then the bias.  It gives ``matvec``'s bits without its
-    checks, whose facts the session holds (see the module docstring)."""
+    one generated (N,) vector, built once from ``mode.prepare``'s rung: the
+    shortcut alone; the exact lanes, or their fold, through the engine's
+    ``_tree_reduce``; or the engine's ``_kernel``, whose fixed-point ladder
+    scans the input.  Then the bias.  It gives ``matvec``'s bits without
+    its checks, whose facts the session holds (see the module docstring)."""
     mode = w.mode
-    step = mode.prepare(w) or (lambda x: _kernel(w, x[:, None])[:, 0])
+    rung, fn = mode.prepare(w)
+    if rung == "lanes":
+        step = lambda x: _tree_reduce(fn(x), mode)[:, 0]
+    else:
+        step = fn or (lambda x: _kernel(w, x[:, None])[:, 0])
     if w.bias is None:
         return step
     return lambda x: mode.add(step(x), w.bias)

@@ -12,8 +12,11 @@ and the multiply plus sequential accumulation of lane-major products, whose
 partials the engine's reduction tree then combines.  ``FixedMode.mac``
 states how fixed point rounds every product exactly in float64 and when its
 accumulation may skip the clips.  For a generated step, ``step_input``
-checks the one new input, and ``prepare`` hands out ``mac``'s shortcut
-rung, unchecked, for a matrix whose row bound covers every such input.
+checks the one new input, and ``prepare`` picks once per matrix, from its
+static facts, the rung of ``mac`` every such input may take: the shortcut
+where the row bound covers them all, else the exact lanes or their fold,
+with no scan and no deal, where no product of theirs can clip, else
+``mac`` whole.
 
 The raw-array operations live here too: ``quantize_real`` and ``mul_raw``,
 and the rounding, saturation and operand rules ``FixedMode`` is built from.
@@ -150,6 +153,50 @@ def _shortcut(operand, offset, x):
     return np.einsum("krc,kc->rc", q, sign).astype(np.int64)
 
 
+def _lanes_or_fold(q, sign, offset, mask, fmt: FxFormat):
+    """``FixedMode.mac``'s exact-lanes rung, for rounded products ``q`` (n,
+    rows, columns) that cannot clip (``_products_fit``), signed by ``sign``
+    (n, columns), with offsets ``offset`` (n, rows) and input k on lane
+    k mod p_in as ``mask`` (p_in, n) marks it: the int64 (p_in, rows,
+    columns) lane sums when every lane's positive and negative sums are in
+    range, else ``_fold``'s partials.
+
+    With a lane's total T and absolute sum A, those sums are (T +- A)/2.  T
+    and A are BLAS products with the mask for one column; for more, T is
+    one ``einsum`` over the lanes of n = chunks·p_in dealt inputs.  A is
+    formed in place, as |q|, so the fold first restores the sign of each
+    product, that of its offset C = +-1/2, as 2C·|q|, and pads a short last
+    chunk with zero products."""
+    (p, n), (rows, cols) = mask.shape, q.shape[1:]
+    if cols == 1:
+        total = ((mask * sign[:, 0]) @ q[:, :, 0])[:, :, None]
+    else:
+        dealt = (n // p, p)
+        total = np.einsum("kprc,kpc->prc", q.reshape(*dealt, rows, cols), sign.reshape(*dealt, cols))
+    size = (mask @ np.abs(q, out=q).reshape(n, rows * cols)).reshape(p, rows, cols)
+    pos, neg = (total + size).max(initial=0), (total - size).min(initial=0)
+    if pos <= 2 * fmt.raw_max and neg >= 2 * fmt.raw_min:
+        return total.astype(np.int64)
+    q *= offset[..., None]
+    q *= 2 * sign[:, None, :]
+    chunks = -(-n // p)
+    if chunks * p != n:
+        q = np.concatenate([q, np.zeros((chunks * p - n, rows, cols))])
+    return _fold(q.reshape(chunks, p, rows, cols), fmt)
+
+
+def _fold(q, fmt: FxFormat):
+    """``FixedMode.mac``'s fold: signed products ``q`` (chunks, p_in, rows,
+    columns), each in range, left-folded over the chunks with a clip after
+    every add; int64 (p_in, rows, columns)."""
+    acc = q[0].copy()
+    for k in range(1, q.shape[0]):
+        np.add(acc, q[k], out=acc)
+        np.minimum(acc, fmt.raw_max, out=acc)
+        np.maximum(acc, fmt.raw_min, out=acc)
+    return acc.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class RealMode:
     """Double-precision arithmetic; arrays are plain float64."""
@@ -176,8 +223,8 @@ class RealMode:
         return wd, None
 
     def prepare(self, w):
-        """Real arithmetic has no shortcut: every step runs the engine."""
-        return None
+        """Real arithmetic has no rungs: every step runs the engine's kernel."""
+        return "kernel", None
 
     step_input = native
 
@@ -251,17 +298,21 @@ class FixedMode:
 
     def lower(self, wd, bias):
         """The float64 operand W_raw·2^-f of dealt weight raws, and the facts
-        (S_max, w_max, C): the largest row sum of |W_raw| and the largest
-        |W_raw|, as Python ints, and the rounding offset C = copysign(1/2, W)
-        in the operand's layout.  Weight and bias raws outside the format
-        range are refused: ``add``'s int64 add would wrap such a bias raw.
-        Scaling by a power of two is exact, so the operand holds each raw."""
+        (S_max, w_max, C, mask): the largest row sum of |W_raw| and the
+        largest |W_raw|, as Python ints, the rounding offset C =
+        copysign(1/2, W) in the operand's layout, and the (p_in, K) lane mask
+        of its K = chunks·p_in inputs (``_lanes_or_fold``).  Weight and bias raws
+        outside the format range are refused: ``add``'s int64 add would wrap
+        such a bias raw.  Scaling by a power of two is exact, so the operand
+        holds each raw."""
         w_max = _max_abs(wd, self.fmt)
         if bias is not None:
             _max_abs(bias, self.fmt)
         s_max = int(np.abs(wd).sum(axis=(0, 1)).max(initial=0))
         operand = wd * (1.0 / (1 << self.fmt.frac_bits))
-        return operand, (s_max, w_max, np.copysign(0.5, operand))
+        chunks, p_in = wd.shape[:2]
+        mask = np.tile(np.eye(p_in), chunks)
+        return operand, (s_max, w_max, np.copysign(0.5, operand), mask)
 
     def row_bound(self, w, m: int) -> int:
         """(S_max·m >> f) + N: with inputs |x_raw| <= m, no rounded product,
@@ -295,12 +346,14 @@ class FixedMode:
           no product can clip: every prefix of a lane's fold lies between
           the sums of its negative and of its positive products, so when
           both are in range for every lane no clip fires and the lane sums
-          are the result.  A lane's total is q contracted with sign(x) over
-          the chunks; its positive sum is total/2 + Σ q·C, as |q| = 2C·q.
+          are the result.  With a lane's total T of q·sign(x) and its sum A
+          of |q|, those two sums are (T - A)/2 and (T + A)/2.  When the test
+          fails, the fold below runs on the same products
+          (``_lanes_or_fold``, which ``prepare`` also hands out).
         - Fold: the signed products, clipped first when they can clip,
-          left-folded over the chunks with a clip after every add.  Products
-          that can clip skip the lane test; where their lanes stay in range
-          the fold clips nothing.  No generator makes them: its inputs are
+          left-folded over the chunks with a clip after every add
+          (``_fold``).  Products that can clip skip the lane test; where
+          their lanes stay in range the fold clips nothing.  No generator makes them: its inputs are
           samples in [-1, 1] or tanh outputs, so m <= 2^f, and a rounded
           product then passes raw_max only when a weight raw of raw_min (a
           real weight at or below -2^(I-1)) meets |x| = 1; a census of 43320
@@ -309,33 +362,25 @@ class FixedMode:
         Lane sums stay below chunks·raw_max and fold values below
         2·raw_max, so both are exact in float64.  Input raws outside the
         format range are refused: this scan is ``mac``'s one check, and its
-        m picks the rung.  A generated step whose bound at m = 2^f fits
-        skips both and runs the shortcut alone (``prepare``).
+        m picks the rung.  A generated step skips both, as m <= 2^f
+        (``prepare``): where the bound at 2^f fits it runs the shortcut
+        alone, and where no product can clip at 2^f it runs the exact
+        lanes, or their fold, with no scan and no deal; only a matrix with
+        a weight raw of raw_min runs ``mac`` whole.
         """
         fmt = self.fmt
-        raw_min, raw_max = fmt.raw_min, fmt.raw_max
         m = _max_abs(xd, fmt)
         c = w.facts[2]
-        if self.row_bound(w, m) <= raw_max:
-            k = xd.shape[0] * xd.shape[1]
-            return _shortcut(w.wd.reshape(k, -1), c.reshape(k, -1), xd.reshape(k, -1))[None]
+        k, rows = xd.shape[0] * xd.shape[1], w.shape[0]
+        if self.row_bound(w, m) <= fmt.raw_max:
+            return _shortcut(w.wd.reshape(k, rows), c.reshape(k, rows), xd.reshape(k, -1))[None]
         sign = np.sign(xd, dtype=np.float64)
         q = _rounded_products(w.wd, c, xd)
-        fits = _products_fit(w.facts[1], m, fmt)
-        if fits:
-            total = np.einsum("kprc,kpc->prc", q, sign)
-            pos = total / 2 + np.einsum("kprc,kpr->prc", q, c)
-            if pos.max(initial=0) <= raw_max and (total - pos).min(initial=0) >= raw_min:
-                return total.astype(np.int64)
+        if _products_fit(w.facts[1], m, fmt):
+            flat = (q.reshape(k, *q.shape[2:]), sign.reshape(k, -1), c.reshape(k, rows))
+            return _lanes_or_fold(*flat, w.facts[3], fmt)
         q *= sign[:, :, None, :]
-        if not fits:
-            _saturate_inplace(q, fmt)
-        acc = q[0].copy()
-        for k in range(1, q.shape[0]):
-            np.add(acc, q[k], out=acc)
-            np.minimum(acc, raw_max, out=acc)
-            np.maximum(acc, raw_min, out=acc)
-        return acc.astype(np.int64)
+        return _fold(_saturate_inplace(q, fmt), fmt)
 
     def generated_headroom(self, w) -> float:
         """``row_bound`` of lowered matrix ``w`` at |x_raw| <= 2^f, the bound
@@ -345,16 +390,38 @@ class FixedMode:
         return self.row_bound(w, 1 << fmt.frac_bits) / fmt.raw_max
 
     def prepare(self, w):
-        """The shortcut rung alone for lowered matrix ``w``, without its bias,
-        as a function of one (N,) vector of raws with |x_raw| <= 2^f, when
-        ``generated_headroom`` is at most 1, and otherwise None.  It reads
-        views of ``w``'s operand and offsets, less a short last chunk's
+        """The rung of ``mac`` that every generated input, one (N,) vector of
+        raws with |x_raw| <= 2^f, may take for lowered matrix ``w`` without
+        its bias, decided from its static facts: ``(rung, function)``.
+
+        - ``"shortcut"`` when ``generated_headroom`` is at most 1: the
+          function gives ``_shortcut``'s (rows,) row sums.
+        - ``"lanes"`` when the row bound fails but ``_products_fit`` at
+          2^f shows that no product can clip: the function gives
+          ``_lanes_or_fold``'s (p_in, rows, 1) partials, for the engine's
+          tree: the lane sums, or the fold when the input fails the lane
+          test.
+        - ``"ladder"`` otherwise, with no function: the step runs ``mac``
+          whole.
+
+        Neither function scans or deals its input.  They read views of
+        ``w``'s operand, offsets and lane mask, less a short last chunk's
         padding, whose products are 0."""
-        if self.generated_headroom(w) > 1:
-            return None
+        fmt = self.fmt
         rows, n = w.shape
         operand, offset = (a.reshape(-1, rows)[:n] for a in (w.wd, w.facts[2]))
-        return lambda x: _shortcut(operand, offset, x[:, None])[:, 0]
+        if self.generated_headroom(w) <= 1:
+            return "shortcut", lambda x: _shortcut(operand, offset, x[:, None])[:, 0]
+        if not _products_fit(w.facts[1], 1 << fmt.frac_bits, fmt):
+            return "ladder", None
+        mask = w.facts[3][:, :n]
+
+        def lanes(x):
+            x = x[:, None]
+            q = _rounded_products(operand, offset, x)
+            return _lanes_or_fold(q, np.sign(x, dtype=np.float64), offset, mask, fmt)
+
+        return "lanes", lanes
 
     def step_input(self, x):
         """``x`` as native raws for ``prepare``'s functions, refused when a

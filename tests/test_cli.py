@@ -79,6 +79,7 @@ def test_generate_writes_wav_and_report(model_files, tmp_path, capsys):
     assert data["numpy"] == np.__version__
     assert data["cpu_count"] == os.cpu_count()
     assert data["static_headroom"] is None and data["static_shortcut"] is None
+    assert data["prepared_rungs"] is None
     # the timing observer's figures, over the 50 generated steps
     assert len(data["layer_us_median"]) == TINY.total_layers
     assert all(us > 0 for us in data["layer_us_median"])
@@ -104,9 +105,28 @@ def test_generate_writes_wav_and_report(model_files, tmp_path, capsys):
     assert len(headroom) == TINY.total_layers
     assert all(0 < h < 1 for h in headroom)
     assert data["static_shortcut"] == list(range(TINY.total_layers))
+    assert data["prepared_rungs"] == ["shortcut"] * (TINY.total_layers + 1)
     # read from the run's session, it equals a fresh session's
     fresh = inference._Session(TINY, random_weights(TINY, seed=11), parse_mode("fixed<27,8>"))
     assert headroom == inference.static_headroom(fresh)
+
+    # in fixed<10,1> the static bound fails past the input layer, and no
+    # weight is raw_min, so those layers and the readout take the lanes
+    rc = run_cli(
+        [
+            "generate",
+            "--config", str(cfg_path),
+            "--weights", str(w_path),
+            "--seconds", "0.1",
+            "--mode", "fixed<10,1>",
+            "--out", str(out),
+            "--report", str(report),
+        ]
+    )
+    assert rc == 0
+    data = json.loads(report.read_text())
+    assert data["static_shortcut"] == [0]
+    assert data["prepared_rungs"] == ["shortcut"] + ["lanes"] * TINY.total_layers
 
 
 @pytest.mark.parametrize("with_report", [False, True], ids=["no-report", "report"])

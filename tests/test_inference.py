@@ -601,7 +601,7 @@ PREPARED_MODES = ["real", "fixed<27,8>", "fixed<24,4>", "fixed<16,3>", "fixed<10
 def generated_inputs(mode, n, rng):
     """n-vectors a generator can feed a step: samples in [-1, 1] in real
     mode, raws with |x| <= 2^f in fixed point; the first holds both ends and
-    0, the second is all zeros."""
+    0, the second is all zeros, the last is all the top end."""
     if isinstance(mode, RealMode):
         lo, hi = -1.0, 1.0
         xs = [rng.uniform(lo, hi, n) for _ in range(4)]
@@ -611,44 +611,66 @@ def generated_inputs(mode, n, rng):
         xs = [rng.integers(lo, hi + 1, n) for _ in range(4)]
     xs[0][: min(n, 3)] = [lo, hi, 0][: min(n, 3)]
     xs[1][:] = 0
+    xs[3][:] = hi
     return xs
+
+
+def rung_matrices(mode, n, rng):
+    """(5, n) weights with the rung ``FixedMode.prepare`` should give them:
+    small ones whose row bound fits; full-range ones with a row of raw_max,
+    past the bound, and no raw_min, so no product can clip; and the same
+    with a row of raw_min, whose products can clip.  Real mode has one
+    rung.  In fixed<2,1> (raw_max 1) only a zero row of one input fits, so
+    for n > 1 the small weights, all zero, take the lanes."""
+    if isinstance(mode, RealMode):
+        return [(rng.uniform(-s, s, (5, n)), "kernel") for s in (0.02, 1.0)]
+    fmt = mode.fmt
+    small = rng.integers(int(fmt.raw_min * 0.02), int(fmt.raw_max * 0.02) + 1, (5, n))
+    lanes = rng.integers(fmt.raw_min + 1, fmt.raw_max + 1, (5, n))
+    lanes[0] = fmt.raw_max
+    ladder = lanes.copy()
+    ladder[0] = fmt.raw_min
+    tiny = str(mode) == "fixed<2,1>" and n > 1
+    return [(small, "lanes" if tiny else "shortcut"), (lanes, "lanes"), (ladder, "ladder")]
 
 
 @pytest.mark.parametrize("text", PREPARED_MODES)
 @pytest.mark.parametrize("p_in", [1, 2, 4, 8])
 @pytest.mark.parametrize("n", [8, 7, 1], ids=["full-chunks", "short-last-chunk", "one-input"])
-def test_prepared_step_equals_matvec(text, p_in, n):
+def test_prepared_step_equals_matvec(monkeypatch, text, p_in, n):
     """The prepared step of a lowered matrix gives ``matvec``'s bits on every
-    generated input, with and without a bias (the readout has one), whether
-    it is the static shortcut or the engine's kernel; weights small enough
-    for the shortcut and the format's full range both occur."""
+    generated input, with and without a bias (the readout has one), on each
+    rung ``mode.prepare`` gives: the static shortcut, the exact lanes
+    through the tree, or the engine's kernel.  Where a lane can hold two
+    products (n > p_in), some input of the lanes rung fails the lane test,
+    so its step runs the fold on its products, and some passes."""
     mode = parse_mode(text)
     rng = np.random.default_rng([p_in, n, len(text)])
     p = ParallelismParams(1, p_in)
-    taken = set()
-    for scale in (0.02, 1.0):
-        if isinstance(mode, RealMode):
-            W, bias = rng.uniform(-scale, scale, (2, 5, n))
-            bias = bias[:, 0]
+    folds, fold = [], numerics._fold
+    monkeypatch.setattr(numerics, "_fold", lambda q, fmt: folds.append(q.shape) or fold(q, fmt))
+    taken, lane_tests = set(), set()
+    for W, rung in rung_matrices(mode, n, rng):
+        if isinstance(mode, FixedMode):
+            bias = rng.integers(mode.fmt.raw_min, mode.fmt.raw_max + 1, 5)
         else:
-            fmt = mode.fmt
-            W = rng.integers(int(fmt.raw_min * scale), int(fmt.raw_max * scale) + 1, (5, n))
-            W[0] = fmt.raw_min if scale == 1.0 else W[0]  # a row sum past the static bound
-            bias = rng.integers(fmt.raw_min, fmt.raw_max + 1, 5)
+            bias = rng.uniform(-1, 1, 5)
         for b in (None, bias):
             w = _lower(W, p_in, mode, b)
-            if isinstance(mode, FixedMode):
-                shortcut = mode.generated_headroom(w) <= 1
-                assert (mode.prepare(w) is not None) == shortcut
-                taken.add(shortcut)
+            assert mode.prepare(w)[0] == rung
+            taken.add(rung)
             step = _prepare(w)
             for x in generated_inputs(mode, n, rng):
-                want = matvec(w, x, p=p, mode=mode)
+                folds.clear()
                 got = step(x)
+                if rung == "lanes":
+                    lane_tests.add(not folds)
+                want = matvec(w, x, p=p, mode=mode)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
     if isinstance(mode, FixedMode):
-        # in fixed<2,1> (raw_max 1) only a zero row of one input fits
-        assert taken == ({False} if text == "fixed<2,1>" and n > 1 else {True, False})
+        rungs = {"shortcut", "lanes", "ladder"}
+        assert taken == (rungs - {"shortcut"} if text == "fixed<2,1>" and n > 1 else rungs)
+        assert lane_tests == ({True, False} if n > p_in else {True})
 
 
 def count_scans(monkeypatch):
@@ -665,22 +687,25 @@ def count_scans(monkeypatch):
 
 @pytest.mark.parametrize("text, ladder_layers", [("fixed<27,8>", 0), ("fixed<16,3>", 27)])
 def test_generated_steps_scan_only_where_the_static_bound_fails(monkeypatch, text, ladder_layers):
-    """On the bundle model a generated step scans its newest input once, and
-    the input of every matrix whose static bound fails once more in ``mac``:
-    in fixed<27,8> no layer and not the readout, in fixed<16,3> 27 layers.
-    Fewer scans would be a shortcut the bound does not cover, more a lost
-    shortcut."""
+    """On the bundle model a generated step scans its newest input once and
+    nothing else.  In fixed<27,8> every layer and the readout take the
+    static shortcut; in fixed<16,3> 27 layers and the readout fail the
+    static bound but take the exact lanes, which scan nothing whether their
+    lane test passes or not.  Only a matrix with a weight raw of raw_min
+    would run ``mac`` whole and scan again.  More scans would be a lost
+    rung, fewer a rung the bounds do not cover."""
     cfg = ModelConfig()
     mode = parse_mode(text)
     sess = _Session(cfg, random_weights(cfg, seed=2020, scale=0.25), mode)
     ladder = [h > 1 for h in static_headroom(sess)]
     assert sum(ladder) == ladder_layers
     ladder.append(mode.generated_headroom(sess.fc_wt) > 1)
+    rungs = [mode.prepare(w)[0] for w in (*sess.taps, sess.fc_wt)]
+    assert rungs == ["lanes" if fails else "shortcut" for fails in ladder]
     sess.steps  # lower the taps before counting
     calls = count_scans(monkeypatch)
     _generate(sess, _Session.forward, [0.25, -1.0], 2)
-    assert len(calls) == 4 * (1 + sum(ladder))
-    assert calls[:: 1 + sum(ladder)] == [(1,)] * 4
+    assert calls == [(1,)] * 4
 
 
 @pytest.mark.parametrize("bad", [2**19 + 1, -(2**19) - 1, 2**26 - 1])
@@ -704,7 +729,7 @@ def test_entry_points_keep_their_checks_beside_prepared_steps():
     fmt = mode.fmt
     sess = _Session(cfg, random_weights(cfg, seed=3), mode)
     taps = sess.taps[1]
-    assert mode.prepare(taps) is not None
+    assert mode.prepare(taps)[0] == "shortcut"
     p = sess.params[1]
     for bad, err in ((np.full(4, 0.5), TypeError), (np.array([0, 0, 0, fmt.raw_max + 1]), ValueError)):
         with pytest.raises(err):
